@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -118,7 +119,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_argv(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if hasattr(ns, "lower") and not ns.lower < ns.upper:
+        parser.error(f"--lower {ns.lower} must lie below --upper {ns.upper}")
+    if hasattr(ns, "efficiency_tol"):
+        try:
+            DeaOptions(efficiency_tol=ns.efficiency_tol)
+        except ValueError as err:
+            parser.error(f"--tol-efficiency {ns.efficiency_tol}: {err}")
     cfg = RunConfig(command=ns.command)
     for name in vars(cfg):
         if hasattr(ns, name):
@@ -152,13 +161,26 @@ def _read_keyed_csv(path: str) -> tuple[list[str], list[str], list[dict[str, str
         raise MissingColumn("id")
     rows = list(reader)
     ids = []
+    seen: set[str] = set()
     for row in rows:
         rid = (row["id"] or "").strip()
-        if rid in ids:
+        if rid in seen:
             raise DuplicateId(rid)
+        seen.add(rid)
         ids.append(rid)
     value_cols = [h for h in header if h not in ("id", "name")]
     return ids, value_cols, rows
+
+
+def _finite_cell(raw: str | None, row: int, col: str) -> float:
+    """A numeric cell; nan and inf are rejected like non-numbers."""
+    try:
+        v = float(raw)
+    except (TypeError, ValueError):
+        raise NonNumericCell(row, col, raw) from None
+    if not math.isfinite(v):
+        raise NonNumericCell(row, col, raw)
+    return v
 
 
 _FLAG_COLUMNS = ("OWNERSHIP", "GROUP")
@@ -174,10 +196,7 @@ def _read_covariates(path: str) -> tuple[list[str], list[str], np.ndarray]:
     for i, row in enumerate(rows, start=1):
         for j, col in enumerate(cols):
             raw = row[col]
-            try:
-                v = float(raw)
-            except (TypeError, ValueError):
-                raise NonNumericCell(i, col, raw) from None
+            v = _finite_cell(raw, i, col)
             if col == "SUSTAINABILITY" and (v != int(v) or not 0 <= v <= 7):
                 raise InvalidDataset(
                     f"row {i}: SUSTAINABILITY must be an integer in 0..7, got {raw}"
@@ -198,10 +217,7 @@ def _read_scores(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     for col in score_cols:
         vals = np.empty(len(rows))
         for i, row in enumerate(rows, start=1):
-            try:
-                vals[i - 1] = float(row[col])
-            except (TypeError, ValueError):
-                raise NonNumericCell(i, col, row[col]) from None
+            vals[i - 1] = _finite_cell(row[col], i, col)
         out[col] = vals
     return ids, out
 

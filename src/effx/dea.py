@@ -4,9 +4,18 @@ returns-to-scale classification.
 Each unit is scored by the smallest factor theta to which all of its inputs
 can be contracted while a non-negative combination of peer units still
 covers its outputs. Constant-returns (overall) and variable-returns (pure
-technical) scores are combined into scale efficiency, and returns to scale
-are classified from the range of the intensity-weight sum over the
-constant-returns optimal set.
+technical) scores are combined into scale efficiency.
+
+Returns to scale are classified by the range of the intensity-weight sum
+over the constant-returns optimal set: constant if the range contains 1,
+increasing below it, decreasing above it. The two score solves settle
+almost every unit without computing that range (Banker and Thrall 1992;
+Seiford and Zhu 1999, "An investigation of returns to scale in data
+envelopment analysis", Omega 27). A sum at the returned CRS optimum near 1
+means constant. When the CRS and VRS scores differ, every CRS optimum has
+its sum on the same side of 1, so the returned one gives the class. Only a
+score tie with the sum away from 1 needs one more LP, for the bound of the
+range nearer 1.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset
-from .lp import EQ, GE, LE, LpError, LpProblem, LpStatus, solve_lp
+from .lp import EQ, GE, LpError, LpProblem, LpStatus, solve_lp
 
 __all__ = [
     "DeaOptions",
@@ -79,6 +88,7 @@ class EfficiencyResult:
 
     Scores within efficiency_tol of 1 are snapped to exactly 1.0 so that
     efficient units are recognizable downstream (reports, censoring).
+    lambda_sum is the intensity-weight sum at the returned CRS optimum.
     """
 
     dmu_id: str
@@ -87,7 +97,7 @@ class EfficiencyResult:
     se: float
     rts: RtsClass
     lambda_crs: np.ndarray
-    lambda_sum_range: tuple[float, float]
+    lambda_sum: float
 
 
 @dataclass(frozen=True)
@@ -168,59 +178,52 @@ def scale_efficiency(ote: float, pte: float, efficiency_tol: float = 1e-6) -> fl
     return min(ratio, 1.0)
 
 
-def _lambda_sum_range(
-    ds: Dataset, j: int, theta: float, opts: DeaOptions
-) -> tuple[float, float]:
-    """Min and max of sum(lambda) over the CRS optimal set at theta.
+def _lambda_sum_bound(ds: Dataset, j: int, theta: float, sign: float) -> float:
+    """Min (sign 1) or max (sign -1) of sum(lambda) over the CRS optimal set
+    at theta: the CRS envelopment rows with theta fixed.
 
     The contracted-input rows get a one-part-per-billion cushion so the
     solved optimum stays feasible under floating point; rts_tol dwarfs it.
     """
-    X = ds.input_matrix
-    Y = ds.output_matrix
-    n, m = X.shape
-    s = Y.shape[1]
+    env = build_envelopment_lp(ds, j, DeaOptions(Rts.CRS))
+    b = env.b - theta * env.A[:, 0] * (1.0 + 1e-9)
+    problem = LpProblem(c=np.full(ds.n, sign), A=env.A[:, 1:], relations=env.relations, b=b)
+    try:
+        sol = solve_lp(problem)
+    except LpError as err:
+        raise SolverFailure(ds.dmus[j].id, str(err)) from err
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SolverFailure(ds.dmus[j].id, f"intensity-sum LP ended {sol.status.value}")
+    return sign * float(sol.objective_value)
 
-    A = np.zeros((m + s, n))
-    b = np.zeros(m + s)
-    relations: list[str] = []
-    for i in range(m):
-        A[i] = X[:, i]
-        b[i] = theta * X[j, i] * (1.0 + 1e-9)
-        relations.append(LE)
-    for o in range(s):
-        A[m + o] = Y[:, o]
-        b[m + o] = Y[j, o]
-        relations.append(GE)
 
-    ones = np.ones(n)
-    bounds = []
-    for c in (ones, -ones):
-        try:
-            sol = solve_lp(LpProblem(c=c, A=A, relations=tuple(relations), b=b))
-        except LpError as err:
-            raise SolverFailure(ds.dmus[j].id, str(err)) from err
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverFailure(ds.dmus[j].id, f"intensity-sum LP ended {sol.status.value}")
-        bounds.append(float(sol.objective_value))
-    return bounds[0], -bounds[1]
+def _rts_class(
+    ds: Dataset,
+    j: int,
+    theta_crs: float,
+    theta_vrs: float,
+    lam: np.ndarray,
+    opts: DeaOptions,
+) -> RtsClass:
+    """Returns-to-scale class of unit j from its raw CRS and VRS solves
+    (see the module docstring). Solves an intensity-sum LP only on a score
+    tie with sum(lambda) more than rts_tol away from 1."""
+    total = float(lam.sum())
+    if abs(total - 1.0) <= opts.rts_tol:
+        return RtsClass.CONSTANT
+    if theta_vrs - theta_crs > opts.efficiency_tol:
+        return RtsClass.INCREASING if total < 1.0 else RtsClass.DECREASING
+    if total > 1.0:
+        low = _lambda_sum_bound(ds, j, theta_crs, 1.0)
+        return RtsClass.DECREASING if low > 1.0 + opts.rts_tol else RtsClass.CONSTANT
+    high = _lambda_sum_bound(ds, j, theta_crs, -1.0)
+    return RtsClass.INCREASING if high < 1.0 - opts.rts_tol else RtsClass.CONSTANT
 
 
 def classify_rts(ds: Dataset, j: int, opts: DeaOptions) -> RtsClass:
-    """Returns-to-scale class from the intensity-sum range at the CRS
-    optimum: constant if the range contains 1 within rts_tol, increasing
-    if it lies below 1, decreasing if above."""
-    theta, _ = _solve_envelopment(ds, j, DeaOptions(Rts.CRS, opts.efficiency_tol, opts.rts_tol))
-    low, high = _lambda_sum_range(ds, j, theta, opts)
-    return _rts_from_range(low, high, opts.rts_tol)
-
-
-def _rts_from_range(low: float, high: float, tol: float) -> RtsClass:
-    if high < 1.0 - tol:
-        return RtsClass.INCREASING
-    if low > 1.0 + tol:
-        return RtsClass.DECREASING
-    return RtsClass.CONSTANT
+    """Returns-to-scale class of unit j (see _rts_class); solves the CRS
+    and VRS programs, plus one intensity-sum LP only on a score tie."""
+    return _evaluate_dmu(ds, j, opts).rts
 
 
 def _snap(theta: float, tol: float) -> float:
@@ -235,15 +238,14 @@ def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
     ote = _snap(theta_crs, opts.efficiency_tol)
     pte = _snap(theta_vrs, opts.efficiency_tol)
     se = scale_efficiency(ote, pte, opts.efficiency_tol)
-    low, high = _lambda_sum_range(ds, j, theta_crs, opts)
     return EfficiencyResult(
         dmu_id=ds.dmus[j].id,
         ote=ote,
         pte=pte,
         se=se,
-        rts=_rts_from_range(low, high, opts.rts_tol),
+        rts=_rts_class(ds, j, theta_crs, theta_vrs, lam, opts),
         lambda_crs=lam,
-        lambda_sum_range=(low, high),
+        lambda_sum=float(lam.sum()),
     )
 
 

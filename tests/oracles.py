@@ -1,7 +1,7 @@
 """Independent reference implementations used to freeze expected values.
 
 None of these share code paths with the package: linear programs are
-solved by brute-force vertex enumeration, tail probabilities by
+solved by brute-force vertex enumeration or by HiGHS, tail probabilities by
 quadrature, and likelihoods by direct per-row evaluation in extended
 precision.
 """
@@ -115,6 +115,31 @@ def degenerate_lp(rng: np.random.Generator) -> LpProblem:
     rels = (LE,) * 7
     c = rng.normal(size=d)
     return LpProblem(c=c, A=A, relations=rels, b=b)
+
+
+def lambda_sum_range_highs(X: np.ndarray, Y: np.ndarray, j: int) -> tuple[float, float]:
+    """Min and max of sum(lambda) over the CRS optimal set of unit j, each
+    solved by HiGHS (scipy.optimize.linprog): first the CRS score, then
+    the intensity sum over the envelopment rows at that score. The
+    contracted inputs get a 1e-8 relative cushion, far below the 1e-6
+    returns-to-scale tolerance, so HiGHS's own score stays feasible."""
+    from scipy.optimize import linprog
+
+    def solve(c, A_ub, b_ub):
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS: {res.message}")
+        return float(res.fun)
+
+    n, m = X.shape
+    s = Y.shape[1]
+    A_crs = np.vstack(
+        [np.column_stack([-X[j][:, None], X.T]), np.column_stack([np.zeros((s, 1)), -Y.T])]
+    )
+    theta = solve(np.r_[1.0, np.zeros(n)], A_crs, np.r_[np.zeros(m), -Y[j]])
+    A_sum = np.vstack([X.T, -Y.T])
+    b_sum = np.r_[theta * X[j] * (1.0 + 1e-8), -Y[j]]
+    return solve(np.ones(n), A_sum, b_sum), -solve(-np.ones(n), A_sum, b_sum)
 
 
 # -- quadrature oracles ----------------------------------------------------

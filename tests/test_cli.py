@@ -119,6 +119,14 @@ class TestDeaCommand:
         code, _, _ = invoke(["not-a-command"])
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "0.01", "0.5", "nan"])
+    def test_tolerance_out_of_range_exits_2(self, tol):
+        code, out, err = invoke(["dea", "--fixture", f"--tol-efficiency={tol}"])
+        assert code == 2
+        assert out == ""
+        assert "--tol-efficiency" in err
+        assert "Traceback" not in err
+
     def test_deterministic_bytes(self):
         _, first, _ = invoke(["dea", "--fixture", "--rts", "both"])
         _, second, _ = invoke(["dea", "--fixture", "--rts", "both"])
@@ -230,6 +238,47 @@ class TestTobitCommand:
         code, _, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
         assert code == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_exits_3(self, tmp_path, cell):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,ote\nu0,0.5\nu1,0.7\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text(f"id,EBITDA\nu0,0.3\nu1,{cell}\n", "utf-8")
+        code, _, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 3
+        assert "NonNumericCell" in err and "row 2" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_score_exits_3(self, tmp_path, cell):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"id,ote\nu0,{cell}\nu1,0.7\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA\nu0,0.3\nu1,0.1\n", "utf-8")
+        code, _, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 3
+        assert "NonNumericCell" in err and "'ote'" in err
+
+    def test_duplicate_id_names_first_repeat(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,ote\nu0,0.5\nu1,0.7\nu0,0.6\nu1,0.8\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA\nu0,0.3\nu1,0.1\n", "utf-8")
+        code, _, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 3
+        assert "DuplicateId" in err and "'u0'" in err and "'u1'" not in err
+
+    @pytest.mark.parametrize("limits", [["--lower", "1", "--upper", "0"], ["--lower", "0.5", "--upper", "0.5"]])
+    def test_lower_not_below_upper_exits_2(self, tmp_path, limits):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,ote\nu0,0.5\nu1,0.7\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA\nu0,0.3\nu1,0.1\n", "utf-8")
+        argv = ["tobit", "--input", str(scores), "--covariates", str(covs), *limits]
+        code, _, err = invoke(argv)
+        assert code == 2
+        assert "--lower" in err
+        assert "Traceback" not in err
+
     def test_fit_failure_exits_4(self, tmp_path):
         # every score at the upper limit: scale not identified
         scores = tmp_path / "scores.csv"
@@ -253,6 +302,37 @@ class TestPipelineCommand:
         header = lines[0].split(",")
         assert "estimate_ote" in header and "estimate_pte" in header
         assert any(ln.startswith("observations,30") for ln in lines)
+
+    def test_nan_covariate_exits_3(self, tmp_path):
+        ds = bundled_fixture()
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in ds.dmus], seed=4)
+        lines = covs.read_text("utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "nan"
+        lines[3] = ",".join(cells)
+        covs.write_text("\n".join(lines) + "\n", "utf-8")
+        code, out, err = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
+        assert code == 3
+        assert out == ""
+        assert "NonNumericCell" in err and "'EBITDA'" in err
+
+    def test_lower_not_below_upper_exits_2(self, tmp_path):
+        ds = bundled_fixture()
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in ds.dmus], seed=4)
+        argv = ["pipeline", "--fixture", "--covariates", str(covs), "--lower", "1", "--upper", "0"]
+        code, out, _ = invoke(argv)
+        assert code == 2
+        assert out == ""
+
+    def test_tolerance_out_of_range_exits_2(self, tmp_path):
+        ds = bundled_fixture()
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in ds.dmus], seed=4)
+        argv = ["pipeline", "--fixture", "--covariates", str(covs), "--tol-efficiency", "0.1"]
+        code, _, _ = invoke(argv)
+        assert code == 2
 
     def test_deterministic(self, tmp_path):
         ds = bundled_fixture()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effx.dea
 from effx.dataset import Dataset, DmuRecord
 from effx.dea import (
     DeaOptions,
@@ -15,9 +16,10 @@ from effx.dea import (
     run_frontier,
     scale_efficiency,
 )
+from effx.dea import _rts_class
 from effx.lp import EQ, GE
 from conftest import random_dataset
-from oracles import vertex_minimum
+from oracles import lambda_sum_range_highs, vertex_minimum
 
 CRS = DeaOptions(returns_to_scale=Rts.CRS)
 VRS = DeaOptions(returns_to_scale=Rts.VRS)
@@ -28,6 +30,30 @@ seeds = st.integers(min_value=0, max_value=10**9)
 def one_unit_dataset():
     rec = DmuRecord(id="only", name="only", inputs=(2.0, 3.0), outputs=(1.0,))
     return Dataset(dmus=(rec,), input_names=("i0", "i1"), output_names=("o0",))
+
+
+def single_io_dataset(*units):
+    """One input, one output: units given as (x, y) pairs, ids u0, u1, ..."""
+    records = tuple(
+        DmuRecord(id=f"u{k}", name="", inputs=(float(x),), outputs=(float(y),))
+        for k, (x, y) in enumerate(units)
+    )
+    return Dataset(dmus=records, input_names=("i",), output_names=("o",))
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Problems passed to effx.dea.solve_lp while the test runs."""
+    calls = []
+    solve = effx.dea.solve_lp
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(effx.dea, "solve_lp", counting)
+    monkeypatch.delenv("EFFX_THREADS", raising=False)
+    return calls
 
 
 class TestBuildLp:
@@ -127,6 +153,87 @@ class TestRtsClassification:
         assert classify_rts(ds, 0, CRS) is RtsClass.CONSTANT
 
 
+class TestRtsRule:
+    """_rts_class: the class of the sum(lambda) range over the CRS optimal
+    set, from the CRS and VRS solves plus at most one range LP."""
+
+    def test_sum_near_one_solves_nothing(self, lp_calls):
+        ds = single_io_dataset((1, 1), (4, 2))
+        lam = np.array([1.0 + 5e-7, 0.0])
+        assert _rts_class(ds, 1, 0.5, 1.0, lam, DeaOptions()) is RtsClass.CONSTANT
+        assert lp_calls == []
+
+    def test_differing_scores_solve_nothing(self, lp_calls):
+        # small sits on the CRS ray; big needs 2 x small, so sum(lambda) = 2
+        ds = single_io_dataset((1, 1), (4, 2))
+        above = _rts_class(ds, 1, 0.5, 1.0, np.array([2.0, 0.0]), DeaOptions())
+        below = _rts_class(ds, 1, 0.5, 1.0, np.array([0.5, 0.0]), DeaOptions())
+        assert above is RtsClass.DECREASING
+        assert below is RtsClass.INCREASING
+        assert lp_calls == []
+
+    def test_tie_fallback_constant(self, lp_calls):
+        # A and B both on the CRS ray: B is covered by 2 x A or by itself,
+        # so the sum ranges over [1, 2] and the class is constant
+        ds = single_io_dataset((1, 1), (2, 2))
+        rule = _rts_class(ds, 1, 1.0, 1.0, np.array([2.0, 0.0]), DeaOptions())
+        assert rule is RtsClass.CONSTANT
+        assert len(lp_calls) == 1
+        assert (lp_calls[0].c == 1.0).all()  # min sum(lambda)
+
+    def test_tie_fallback_decreasing(self, lp_calls):
+        # scores within efficiency_tol of each other, yet every CRS optimum
+        # of big is 2 x small: the min of the range is 2
+        ds = single_io_dataset((1, 1), (4, 2))
+        rule = _rts_class(ds, 1, 0.5, 0.5 + 5e-7, np.array([2.0, 0.0]), DeaOptions())
+        assert rule is RtsClass.DECREASING
+        assert len(lp_calls) == 1
+
+    def test_tie_fallback_increasing(self, lp_calls):
+        # tiny sits below the ray of big: its only CRS optimum is
+        # 0.125 x big, so the max of the range is 0.125
+        ds = single_io_dataset((2, 2), (1, 0.25))
+        assert efficiency(ds, 1, CRS) == pytest.approx(0.25, abs=1e-9)
+        lp_calls.clear()
+        rule = _rts_class(ds, 1, 0.25, 0.25, np.array([0.125, 0.0]), DeaOptions())
+        assert rule is RtsClass.INCREASING
+        assert len(lp_calls) == 1
+        assert (lp_calls[0].c == -1.0).all()  # max sum(lambda)
+
+    def test_fixture_solves_two_lps_per_unit(self, airports, lp_calls):
+        run_frontier(airports, DeaOptions())
+        assert len(lp_calls) == 2 * airports.n == 60
+
+    def test_classify_rts_solves_two_lps(self, airports, lp_calls):
+        assert classify_rts(airports, airports.index_of("PMF"), CRS) is RtsClass.INCREASING
+        assert len(lp_calls) == 2
+
+    @pytest.mark.filterwarnings("ignore:dataset has n")
+    @settings(max_examples=25)
+    @given(seeds)
+    def test_matches_two_sided_range(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n=int(rng.integers(2, 9)))
+        # a scaled twin puts two units on one ray; their CRS scores tie
+        # with several optima, which sends some units to the range LP
+        src = ds.dmus[int(rng.integers(0, ds.n))]
+        k = float(rng.choice([0.5, 2.0, 3.0]))
+        twin = DmuRecord(
+            "twin", "", tuple(k * v for v in src.inputs), tuple(k * v for v in src.outputs)
+        )
+        ds = Dataset(ds.dmus + (twin,), ds.input_names, ds.output_names)
+        tol = DeaOptions().rts_tol
+        for j, r in enumerate(run_frontier(ds, DeaOptions()).results):
+            low, high = lambda_sum_range_highs(ds.input_matrix, ds.output_matrix, j)
+            if high < 1.0 - tol:
+                want = RtsClass.INCREASING
+            elif low > 1.0 + tol:
+                want = RtsClass.DECREASING
+            else:
+                want = RtsClass.CONSTANT
+            assert r.rts is want, (j, low, high, r.lambda_sum)
+
+
 class TestFrontierReport:
     def test_fixture_headline(self, airports):
         rep = run_frontier(airports, DeaOptions())
@@ -148,8 +255,7 @@ class TestFrontierReport:
         for r in run_frontier(airports, DeaOptions()).results:
             assert r.se == pytest.approx(r.ote / r.pte, rel=1e-12)
             assert (r.lambda_crs >= -1e-9).all()
-            low, high = r.lambda_sum_range
-            assert low <= high + 1e-9
+            assert r.lambda_sum >= 0
 
     def test_warns_on_poor_discrimination(self):
         ds = random_dataset(np.random.default_rng(0), n=5, m=2, s=2)
