@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +45,7 @@ from .tobit import (
     inference_report,
 )
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 _DATA_ERRORS = (DataValidationError, FileNotFoundError, IsADirectoryError)
 _SOLVER_ERRORS = (
@@ -63,25 +61,6 @@ _SOLVER_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its inputs and knobs."""
-
-    command: str
-    input_path: str | None = None
-    covariates_path: str | None = None
-    use_fixture: bool = False
-    rts: str = "both"
-    fmt: str = "csv"
-    out_path: str | None = None
-    seed: int = 0
-    efficiency_tol: float = 1e-6
-    lower: float = 0.0
-    upper: float = 1.0
-    orientation: str = "input"
-    threads: int = 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", dest="use_fixture", action="store_true")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", dest="out_path", metavar="PATH")
-        p.add_argument("--seed", type=int, default=0)
         if covariates:
             p.add_argument("--covariates", dest="covariates_path", metavar="PATH")
             p.add_argument("--lower", type=float, default=0.0)
@@ -118,25 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_argv(argv: list[str]) -> RunConfig:
+def _config_from_argv(argv: list[str]) -> argparse.Namespace:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if hasattr(ns, "lower") and not ns.lower < ns.upper:
-        parser.error(f"--lower {ns.lower} must lie below --upper {ns.upper}")
+    if hasattr(ns, "lower") and not -math.inf < ns.lower < ns.upper < math.inf:
+        parser.error(f"--lower {ns.lower} must lie below --upper {ns.upper}, both finite")
     if hasattr(ns, "efficiency_tol"):
         try:
             DeaOptions(efficiency_tol=ns.efficiency_tol)
         except ValueError as err:
             parser.error(f"--tol-efficiency {ns.efficiency_tol}: {err}")
-    cfg = RunConfig(command=ns.command)
-    for name in vars(cfg):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    cfg.threads = max(1, int(os.environ.get("EFFX_THREADS", "1") or "1"))
-    return cfg
+    return ns
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
+def _load_dataset(cfg: argparse.Namespace) -> Dataset:
     if cfg.use_fixture:
         return bundled_fixture()
     if not cfg.input_path:
@@ -145,7 +118,7 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return parse_dataset(text, FIXTURE_INPUTS, FIXTURE_OUTPUTS)
 
 
-def _emit(cfg: RunConfig, text: str):
+def _emit(cfg: argparse.Namespace, text: str):
     if cfg.out_path:
         Path(cfg.out_path).write_text(text, "utf-8")
     else:
@@ -153,9 +126,13 @@ def _emit(cfg: RunConfig, text: str):
 
 
 def _read_keyed_csv(path: str) -> tuple[list[str], list[str], list[dict[str, str]]]:
-    """Read a CSV keyed by id; returns (ids, value columns, raw rows)."""
+    """Read a CSV keyed by id; returns (ids, value columns, raw rows).
+
+    Lines starting with '#' are skipped, so the footnotes that ``effx dea``
+    writes below its table do not read as rows.
+    """
     text = Path(path).read_text("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
     header = reader.fieldnames or []
     if "id" not in header:
         raise MissingColumn("id")
@@ -256,22 +233,22 @@ def _fit_reports(
     return reports
 
 
-def _cmd_fixture(cfg: RunConfig) -> ReportTable | str:
+def _cmd_fixture(cfg: argparse.Namespace) -> ReportTable | str:
     return serialize_dataset(bundled_fixture())
 
 
-def _cmd_summary(cfg: RunConfig) -> ReportTable | str:
+def _cmd_summary(cfg: argparse.Namespace) -> ReportTable | str:
     return summary_table(summarize(_load_dataset(cfg)))
 
 
-def _cmd_dea(cfg: RunConfig) -> ReportTable | str:
+def _cmd_dea(cfg: argparse.Namespace) -> ReportTable | str:
     ds = _load_dataset(cfg)
     opts = DeaOptions(efficiency_tol=cfg.efficiency_tol)
-    report = run_frontier(ds, opts, max_workers=cfg.threads)
+    report = run_frontier(ds, opts)
     return frontier_table(report, rts=cfg.rts)
 
 
-def _cmd_tobit(cfg: RunConfig) -> ReportTable | str:
+def _cmd_tobit(cfg: argparse.Namespace) -> ReportTable | str:
     if not cfg.input_path:
         raise InvalidDataset("tobit needs --input with id + ote/pte columns")
     if not cfg.covariates_path:
@@ -282,12 +259,12 @@ def _cmd_tobit(cfg: RunConfig) -> ReportTable | str:
     return regression_table(_fit_reports(scores, names, design, cfg.lower, cfg.upper))
 
 
-def _cmd_pipeline(cfg: RunConfig) -> ReportTable | str:
+def _cmd_pipeline(cfg: argparse.Namespace) -> ReportTable | str:
     if not cfg.covariates_path:
         raise InvalidDataset("pipeline needs --covariates PATH")
     ds = _load_dataset(cfg)
     opts = DeaOptions(efficiency_tol=cfg.efficiency_tol)
-    frontier = run_frontier(ds, opts, max_workers=cfg.threads)
+    frontier = run_frontier(ds, opts)
     score_ids = [r.dmu_id for r in frontier.results]
     scores = {
         "ote": np.array([r.ote for r in frontier.results]),

@@ -20,9 +20,7 @@ range nearer 1.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,12 +72,14 @@ class DomainError(Exception):
 class DeaOptions:
     returns_to_scale: Rts = Rts.CRS
     efficiency_tol: float = 1e-6
-    rts_tol: float = 1e-6
 
     def __post_init__(self):
-        for tol in (self.efficiency_tol, self.rts_tol):
-            if not 0.0 < tol < 1e-2:
-                raise ValueError("tolerances must lie in (0, 1e-2)")
+        if not 0.0 < self.efficiency_tol < 1e-2:
+            raise ValueError("efficiency_tol must lie in (0, 1e-2)")
+
+
+# How far sum(lambda) may sit from 1 and still read as constant returns.
+_RTS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def _lambda_sum_bound(ds: Dataset, j: int, theta: float, sign: float) -> float:
     at theta: the CRS envelopment rows with theta fixed.
 
     The contracted-input rows get a one-part-per-billion cushion so the
-    solved optimum stays feasible under floating point; rts_tol dwarfs it.
+    solved optimum stays feasible under floating point; _RTS_TOL dwarfs it.
     """
     env = build_envelopment_lp(ds, j, DeaOptions(Rts.CRS))
     b = env.b - theta * env.A[:, 0] * (1.0 + 1e-9)
@@ -207,17 +207,17 @@ def _rts_class(
 ) -> RtsClass:
     """Returns-to-scale class of unit j from its raw CRS and VRS solves
     (see the module docstring). Solves an intensity-sum LP only on a score
-    tie with sum(lambda) more than rts_tol away from 1."""
+    tie with sum(lambda) more than _RTS_TOL away from 1."""
     total = float(lam.sum())
-    if abs(total - 1.0) <= opts.rts_tol:
+    if abs(total - 1.0) <= _RTS_TOL:
         return RtsClass.CONSTANT
     if theta_vrs - theta_crs > opts.efficiency_tol:
         return RtsClass.INCREASING if total < 1.0 else RtsClass.DECREASING
     if total > 1.0:
         low = _lambda_sum_bound(ds, j, theta_crs, 1.0)
-        return RtsClass.DECREASING if low > 1.0 + opts.rts_tol else RtsClass.CONSTANT
+        return RtsClass.DECREASING if low > 1.0 + _RTS_TOL else RtsClass.CONSTANT
     high = _lambda_sum_bound(ds, j, theta_crs, -1.0)
-    return RtsClass.INCREASING if high < 1.0 - opts.rts_tol else RtsClass.CONSTANT
+    return RtsClass.INCREASING if high < 1.0 - _RTS_TOL else RtsClass.CONSTANT
 
 
 def classify_rts(ds: Dataset, j: int, opts: DeaOptions) -> RtsClass:
@@ -231,8 +231,8 @@ def _snap(theta: float, tol: float) -> float:
 
 
 def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
-    crs_opts = DeaOptions(Rts.CRS, opts.efficiency_tol, opts.rts_tol)
-    vrs_opts = DeaOptions(Rts.VRS, opts.efficiency_tol, opts.rts_tol)
+    crs_opts = DeaOptions(Rts.CRS, opts.efficiency_tol)
+    vrs_opts = DeaOptions(Rts.VRS, opts.efficiency_tol)
     theta_crs, lam = _solve_envelopment(ds, j, crs_opts)
     theta_vrs, _ = _solve_envelopment(ds, j, vrs_opts)
     ote = _snap(theta_crs, opts.efficiency_tol)
@@ -249,12 +249,11 @@ def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
     )
 
 
-def run_frontier(ds: Dataset, opts: DeaOptions, max_workers: int | None = None) -> FrontierReport:
-    """Score every unit under both returns assumptions.
+def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
+    """Score every unit under both returns assumptions, in dataset order.
 
-    Units may be evaluated concurrently (max_workers > 1); results are
-    merged in dataset order either way. Emits a warning when the dataset
-    fails the discriminatory-power rules of thumb.
+    Emits a warning when the dataset fails the discriminatory-power rules
+    of thumb.
     """
     if not ds.weak_rule:
         warnings.warn(
@@ -268,14 +267,7 @@ def run_frontier(ds: Dataset, opts: DeaOptions, max_workers: int | None = None) 
             stacklevel=2,
         )
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("EFFX_THREADS", "1") or "1")
-    indices = range(ds.n)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = tuple(pool.map(lambda j: _evaluate_dmu(ds, j, opts), indices))
-    else:
-        results = tuple(_evaluate_dmu(ds, j, opts) for j in indices)
+    results = tuple(_evaluate_dmu(ds, j, opts) for j in range(ds.n))
 
     return FrontierReport(
         results=results,

@@ -171,29 +171,23 @@ class _Tableau:
         self.ncols = col
         self.basis = basis
 
-        T = np.zeros((r + 1, self.ncols + 1))
-        T[:r, :d] = A
-        T[:r, -1] = b
+        # The equilibrated standard-form matrix; _refine factors its basis
+        # columns after the tableau copy has drifted through pivots.
+        E = np.zeros((r, self.ncols))
+        E[:, :d] = A
         for i in range(r):
-            if self.slack_of_row[i] >= 0:
-                T[i, self.slack_of_row[i]] = self.slack_sign[i]
-        for k, i in enumerate(self.art_rows):
-            T[i, self.art_start + k] = 1.0
-        self.T = T
-        self.A_eq = A  # equilibrated, sign-normalized rows
-        self.b_eq = b
-        self.iterations = 0
-
-    def standard_matrix(self) -> np.ndarray:
-        """The equilibrated standard-form matrix, rebuilt exactly."""
-        E = np.zeros((self.r, self.ncols))
-        E[:, : self.d] = self.A_eq
-        for i in range(self.r):
             if self.slack_of_row[i] >= 0:
                 E[i, self.slack_of_row[i]] = self.slack_sign[i]
         for k, i in enumerate(self.art_rows):
             E[i, self.art_start + k] = 1.0
-        return E
+        self.E = E
+        self.b_eq = b
+
+        T = np.zeros((r + 1, self.ncols + 1))
+        T[:r, :-1] = E
+        T[:r, -1] = b
+        self.T = T
+        self.iterations = 0
 
     # -- pivoting ---------------------------------------------------------
 
@@ -336,10 +330,9 @@ def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray]:
     tableau values are the fallback when the basis matrix is singular.
     """
     r, ncols = tab.r, tab.ncols
-    E = tab.standard_matrix()
     costs = np.zeros(ncols)
     costs[: tab.d] = problem.c
-    B = E[:, tab.basis]
+    B = tab.E[:, tab.basis]
     x_full = np.zeros(ncols)
     sign = np.where(tab.flipped, -1.0, 1.0)
     try:

@@ -23,6 +23,7 @@ from .numerics import (
     log_normal_cdf,
     log_normal_pdf,
     normal_cdf,
+    normal_pdf,
     solve_spd,
 )
 
@@ -49,9 +50,6 @@ __all__ = [
     "score_and_hessian",
     "wald_test",
 ]
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
 
 class NonFinite(Exception):
     """The likelihood or its derivatives evaluated to NaN or infinity."""
@@ -340,8 +338,7 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
     beta = psi[:k]
     sigma = float(np.exp(psi[k]))
     _, hess = score_and_hessian(s, beta, sigma)
-    eye = np.eye(k + 1)
-    cov_hessian = np.column_stack([solve_spd(-hess, eye[:, i]) for i in range(k + 1)])
+    cov_hessian = solve_spd(-hess, np.eye(k + 1))
     cov_hessian = 0.5 * (cov_hessian + cov_hessian.T)
 
     result = TobitFit(
@@ -360,14 +357,11 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
 
 
 def robust_covariance(s: CensoredSample, estimate: TobitFit) -> np.ndarray:
-    """White sandwich: Hinv (sum of g_i g_i') Hinv at the optimum."""
-    _, hess = score_and_hessian(s, estimate.beta, estimate.sigma)
+    """White sandwich: Hinv (sum of g_i g_i') Hinv at the optimum, with
+    Hinv the estimate's inverse-Hessian covariance."""
     G = _row_scores(s, estimate.beta, estimate.sigma)
-    meat = G.T @ G
-    k1 = hess.shape[0]
-    eye = np.eye(k1)
-    hinv = np.column_stack([solve_spd(-hess, eye[:, i]) for i in range(k1)])
-    cov = hinv @ meat @ hinv
+    hinv = estimate.cov_hessian
+    cov = hinv @ (G.T @ G) @ hinv
     return 0.5 * (cov + cov.T)
 
 
@@ -440,8 +434,6 @@ def pseudo_r2(full: TobitFit, null: TobitFit) -> PseudoR2:
 
 def censored_mean(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray:
     """Model-implied E[y | x] accounting for both censor limits."""
-    from .numerics import normal_pdf  # local import keeps module top light
-
     mean = s.X @ np.asarray(beta, dtype=float)
     alpha = (s.lower - mean) / sigma
     omega = (s.upper - mean) / sigma

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -12,22 +11,10 @@ from effx.dea import DeaOptions, run_frontier
 from effx.report import ReportTable, frontier_table, render_table, round_half_away
 
 
-def invoke(argv, env=None):
+def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
-    saved = {}
-    if env:
-        for key, val in env.items():
-            saved[key] = os.environ.get(key)
-            os.environ[key] = val
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-    finally:
-        for key, val in saved.items():
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -132,10 +119,11 @@ class TestDeaCommand:
         _, second, _ = invoke(["dea", "--fixture", "--rts", "both"])
         assert first == second
 
-    def test_threaded_matches_serial(self):
-        _, serial, _ = invoke(["dea", "--fixture"])
-        _, threaded, _ = invoke(["dea", "--fixture"], env={"EFFX_THREADS": "4"})
-        assert serial == threaded
+    def test_seed_flag_is_a_usage_error(self):
+        code, out, err = invoke(["dea", "--fixture", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
 
     def test_matches_report_table(self):
         ds = bundled_fixture()
@@ -267,7 +255,15 @@ class TestTobitCommand:
         assert code == 3
         assert "DuplicateId" in err and "'u0'" in err and "'u1'" not in err
 
-    @pytest.mark.parametrize("limits", [["--lower", "1", "--upper", "0"], ["--lower", "0.5", "--upper", "0.5"]])
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            ["--lower", "1", "--upper", "0"],
+            ["--lower", "0.5", "--upper", "0.5"],
+            ["--upper=inf"],
+            ["--lower=-inf"],
+        ],
+    )
     def test_lower_not_below_upper_exits_2(self, tmp_path, limits):
         scores = tmp_path / "scores.csv"
         scores.write_text("id,ote\nu0,0.5\nu1,0.7\n", "utf-8")
@@ -278,6 +274,17 @@ class TestTobitCommand:
         assert code == 2
         assert "--lower" in err
         assert "Traceback" not in err
+
+    def test_reads_dea_output(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        code, _, _ = invoke(["dea", "--fixture", "--out", str(scores)])
+        assert code == 0
+        assert scores.read_text("utf-8").splitlines()[-1].startswith("# ")
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in bundled_fixture().dmus], seed=4)
+        code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 0, err
+        assert "observations,30.000," in out
 
     def test_fit_failure_exits_4(self, tmp_path):
         # every score at the upper limit: scale not identified
@@ -325,6 +332,16 @@ class TestPipelineCommand:
         code, out, _ = invoke(argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("limit", ["--upper=inf", "--lower=-inf"])
+    def test_infinite_limit_exits_2(self, tmp_path, limit):
+        ds = bundled_fixture()
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in ds.dmus], seed=4)
+        code, out, err = invoke(["pipeline", "--fixture", "--covariates", str(covs), limit])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
 
     def test_tolerance_out_of_range_exits_2(self, tmp_path):
         ds = bundled_fixture()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effx.tobit
 from effx.numerics import fd_gradient
 from effx.tobit import (
     CensorStatus,
@@ -228,6 +229,23 @@ class TestRobustCovariance:
         est = fit(s)
         cov = robust_covariance(s, est)
         assert cov[0, 0] == pytest.approx(float(np.var(y)) / 80, abs=1e-8)
+
+    def test_reuses_the_fitted_inverse_hessian(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        s = simulate(rng, n=60)
+        est = fit(s)
+        calls = []
+        for name in ("solve_spd", "score_and_hessian"):
+            original = getattr(effx.tobit, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(effx.tobit, name, counting)
+        cov = robust_covariance(s, est)
+        assert calls == []
+        assert np.array_equal(cov, est.cov_robust)
 
     def test_symmetric(self):
         rng = np.random.default_rng(7)
