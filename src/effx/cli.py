@@ -47,7 +47,7 @@ from .tobit import (
 
 __all__ = ["main", "run"]
 
-_DATA_ERRORS = (DataValidationError, FileNotFoundError, IsADirectoryError)
+_DATA_ERRORS = (DataValidationError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
 _SOLVER_ERRORS = (
     LpError,
     SolverFailure,
@@ -292,14 +292,13 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         result = _COMMANDS[cfg.command](cfg)
+        _emit(cfg, result if isinstance(result, str) else render_table(result, cfg.fmt))
     except _DATA_ERRORS as err:
         print(f"effx: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
     except _SOLVER_ERRORS as err:
         print(f"effx: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
-    text = result if isinstance(result, str) else render_table(result, cfg.fmt)
-    _emit(cfg, text)
     return 0
 
 

@@ -10,6 +10,7 @@ inverse-Hessian and sandwich (heteroskedasticity-robust) covariances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -21,6 +22,7 @@ from .numerics import (
     NotPositiveDefinite,
     chi_square_sf,
     log_normal_cdf,
+    log_normal_cdf_and_mills,
     log_normal_pdf,
     normal_cdf,
     normal_pdf,
@@ -78,7 +80,8 @@ class CensoredSample:
     """Observed responses in [lower, upper] with an N x k design matrix.
 
     By convention the first design column is an all-ones intercept.
-    Rows exactly at a limit are treated as censored there.
+    Rows exactly at a limit are treated as censored there. Both limits
+    must be finite.
     """
 
     y: np.ndarray
@@ -94,6 +97,8 @@ class CensoredSample:
             raise ValueError(f"X has {X.shape[0]} rows for {y.size} responses")
         if y.size < 1:
             raise ValueError("sample must contain at least one row")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("censor bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError("lower censor bound must lie below upper")
         if not (np.isfinite(y).all() and np.isfinite(X).all()):
@@ -125,6 +130,19 @@ class CensoredSample:
         status[self.y == self.upper] = CensorStatus.AT_UPPER
         status.setflags(write=False)
         return status
+
+    @cached_property
+    def _row_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(interior rows, their responses, rows on a limit, sign, limit).
+
+        A row on a limit contributes log Phi(sign * (mean - limit) / sigma).
+        """
+        interior = np.flatnonzero(self.censor_status == CensorStatus.INTERIOR)
+        rows = np.flatnonzero(self.censor_status != CensorStatus.INTERIOR)
+        at_upper = self.censor_status[rows] == CensorStatus.AT_UPPER
+        sign = np.where(at_upper, 1.0, -1.0)
+        limit = np.where(at_upper, self.upper, self.lower)
+        return interior, self.y[interior], rows, sign, limit
 
     def column_names(self) -> tuple[str, ...]:
         if self.names is not None:
@@ -173,17 +191,28 @@ class PseudoR2(NamedTuple):
     variant: str  # "mcfadden" or "squared_correlation"
 
 
+def _loglik_rows(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray:
+    """Per-row log likelihood: the first output of ``_terms`` alone."""
+    interior, y_in, rows, sign, limit = s._row_split
+    mean = s.X @ beta
+    ll = np.empty(s.n_obs)
+    ll[interior] = log_normal_pdf((y_in - mean[interior]) / sigma) - np.log(sigma)
+    if rows.size:
+        ll[rows] = log_normal_cdf(sign * (mean[rows] - limit) / sigma)
+    return ll
+
+
 def _terms(s: CensoredSample, beta: np.ndarray, sigma: float):
     """Per-row likelihood pieces and derivative weights in (beta, log sigma).
 
     Returns (ll_rows, s_b, s_t, w_bb, w_bt, w_tt) where s_b and w_* are the
     row multipliers applied to the design matrix when assembling the score
-    and Hessian.
+    and Hessian. Both censored sides go through one pass: a row on a limit
+    has a = sign * (mean - limit) / sigma and likelihood Phi(a).
     """
-    y, X = s.y, s.X
-    status = s.censor_status
-    mean = X @ beta
-    n = y.size
+    interior, y_in, rows, sign, limit = s._row_split
+    mean = s.X @ beta
+    n = s.n_obs
     ll = np.empty(n)
     s_b = np.empty(n)
     s_t = np.empty(n)
@@ -191,31 +220,24 @@ def _terms(s: CensoredSample, beta: np.ndarray, sigma: float):
     w_bt = np.empty(n)
     w_tt = np.empty(n)
 
-    interior = status == CensorStatus.INTERIOR
-    if interior.any():
-        z = (y[interior] - mean[interior]) / sigma
-        ll[interior] = log_normal_pdf(z) - np.log(sigma)
-        s_b[interior] = z / sigma
-        s_t[interior] = z * z - 1.0
-        w_bb[interior] = -1.0 / sigma**2
-        w_bt[interior] = -2.0 * z / sigma
-        w_tt[interior] = -2.0 * z * z
+    z = (y_in - mean[interior]) / sigma
+    ll[interior] = log_normal_pdf(z) - np.log(sigma)
+    s_b[interior] = z / sigma
+    s_t[interior] = z * z - 1.0
+    w_bb[interior] = -1.0 / sigma**2
+    w_bt[interior] = -2.0 * z / sigma
+    w_tt[interior] = -2.0 * z * z
 
-    for flag, sign in ((CensorStatus.AT_LOWER, -1.0), (CensorStatus.AT_UPPER, 1.0)):
-        mask = status == flag
-        if not mask.any():
-            continue
-        limit = s.lower if flag == CensorStatus.AT_LOWER else s.upper
-        a = sign * (mean[mask] - limit) / sigma
-        log_cdf = log_normal_cdf(a)
-        ratio = np.exp(log_normal_pdf(a) - log_cdf)  # phi/Phi, underflow-safe
+    if rows.size:
+        a = sign * (mean[rows] - limit) / sigma
+        log_cdf, ratio = log_normal_cdf_and_mills(a)  # ratio = phi/Phi
         dratio = -a * ratio - ratio * ratio  # second derivative of log Phi
-        ll[mask] = log_cdf
-        s_b[mask] = sign * ratio / sigma
-        s_t[mask] = -a * ratio
-        w_bb[mask] = dratio / sigma**2
-        w_bt[mask] = -sign * (a * dratio + ratio) / sigma
-        w_tt[mask] = a * ratio + a * a * dratio
+        ll[rows] = log_cdf
+        s_b[rows] = sign * ratio / sigma
+        s_t[rows] = -a * ratio
+        w_bb[rows] = dratio / sigma**2
+        w_bt[rows] = -sign * (a * dratio + ratio) / sigma
+        w_tt[rows] = a * ratio + a * a * dratio
 
     return ll, s_b, s_t, w_bb, w_bt, w_tt
 
@@ -225,8 +247,7 @@ def log_likelihood(s: CensoredSample, beta: np.ndarray, sigma: float) -> float:
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     beta = np.asarray(beta, dtype=float)
-    ll, *_ = _terms(s, beta, sigma)
-    total = float(ll.sum())
+    total = float(_loglik_rows(s, beta, sigma).sum())
     if not np.isfinite(total):
         raise NonFinite("log likelihood is not finite at this point")
     return total
@@ -391,7 +412,7 @@ def _same_sample(a: CensoredSample, b: CensoredSample) -> bool:
 
 def _nested_design(full: CensoredSample, reduced: CensoredSample) -> bool:
     for col in reduced.X.T:
-        if not any(np.allclose(col, fcol, rtol=0.0, atol=1e-12) for fcol in full.X.T):
+        if not any(np.abs(col - fcol).max() <= 1e-12 for fcol in full.X.T):
             return False
     return True
 
@@ -452,10 +473,8 @@ def marginal_effects(s: CensoredSample, estimate: TobitFit) -> np.ndarray:
     beta_j times the mean probability of landing strictly inside the
     limits."""
     mean = s.X @ estimate.beta
-    bracket = normal_cdf((s.upper - mean) / estimate.sigma) - normal_cdf(
-        (s.lower - mean) / estimate.sigma
-    )
-    return estimate.beta * float(np.mean(bracket))
+    p_hi, p_lo = normal_cdf((np.array([[s.upper], [s.lower]]) - mean) / estimate.sigma)
+    return estimate.beta * float(np.mean(p_hi - p_lo))
 
 
 _STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))

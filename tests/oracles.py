@@ -162,6 +162,19 @@ def normal_cdf_by_integration(z: float) -> float:
     return 0.5 + simpson(density, 0.0, z)
 
 
+def normal_cdf_mp(z) -> mpmath.mpf:
+    """Phi(z) through erfc at the working precision, so that the deep left
+    tail keeps its digits."""
+    return mpmath.erfc(-mpmath.mpf(z) / mpmath.sqrt(2)) / 2
+
+
+def log_normal_cdf_mp(z) -> mpmath.mpf:
+    """log Phi(z), through log1p on the right so that log Phi(8) keeps its digits."""
+    if z < 0:
+        return mpmath.log(normal_cdf_mp(z))
+    return mpmath.log1p(-normal_cdf_mp(-z))
+
+
 def chi_square_sf_by_integration(x: float, df: int) -> float:
     """Upper-tail chi-square mass by direct integration of the density."""
     half = mpmath.mpf(df) / 2

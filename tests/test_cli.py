@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from effx.cli import run
-from effx.dataset import bundled_fixture
+from effx.dataset import bundled_fixture, serialize_dataset
 from effx.dea import DeaOptions, run_frontier
 from effx.report import ReportTable, frontier_table, render_table, round_half_away
 
@@ -99,6 +103,22 @@ class TestDeaCommand:
     def test_missing_file_exits_3(self):
         code, _, err = invoke(["dea", "--input", "/nonexistent/file.csv"])
         assert code == 3
+
+    def test_non_utf8_input_exits_3(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(serialize_dataset(bundled_fixture()).replace("AHO", "AH\u00d6").encode("latin-1"))
+        code, out, err = invoke(["dea", "--input", str(bad)])
+        assert code == 3
+        assert out == ""
+        assert "UnicodeDecodeError" in err
+
+    def test_out_into_missing_directory_exits_3(self, tmp_path):
+        target = tmp_path / "missing" / "scores.csv"
+        code, out, err = invoke(["dea", "--fixture", "--out", str(target)])
+        assert code == 3
+        assert out == ""
+        assert "FileNotFoundError" in err
+        assert not target.exists()
 
     def test_usage_error_exits_2(self):
         code, _, _ = invoke(["dea", "--rts", "bogus"])
@@ -324,6 +344,16 @@ class TestPipelineCommand:
         assert out == ""
         assert "NonNumericCell" in err and "'EBITDA'" in err
 
+    def test_non_utf8_covariates_exits_3(self, tmp_path):
+        ds = bundled_fixture()
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in ds.dmus], seed=4)
+        covs.write_bytes(covs.read_text("utf-8").replace("LCC", "LC\u00c7").encode("latin-1"))
+        code, out, err = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
+        assert code == 3
+        assert out == ""
+        assert "UnicodeDecodeError" in err
+
     def test_lower_not_below_upper_exits_2(self, tmp_path):
         ds = bundled_fixture()
         covs = tmp_path / "covs.csv"
@@ -358,3 +388,30 @@ class TestPipelineCommand:
         _, first, _ = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
         _, second, _ = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
         assert first == second
+
+
+class TestRuntimeImports:
+    def test_commands_run_without_scipy(self, tmp_path):
+        """dea, tobit and pipeline run in a fresh interpreter without loading scipy."""
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in bundled_fixture().dmus], seed=4)
+        scores = tmp_path / "scores.csv"
+        argvs = [
+            ["dea", "--fixture", "--out", str(scores)],
+            ["tobit", "--input", str(scores), "--covariates", str(covs), "--out", str(tmp_path / "t.csv")],
+            ["pipeline", "--fixture", "--covariates", str(covs), "--out", str(tmp_path / "p.csv")],
+        ]
+        program = (
+            "import sys\n"
+            "from effx.cli import run\n"
+            f"codes = [run(argv) for argv in {argvs!r}]\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(codes, scipy)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"

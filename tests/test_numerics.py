@@ -1,22 +1,31 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from effx.numerics import (
+    _BLOCK,
     NonFiniteEvaluation,
     NotPositiveDefinite,
+    _erfcx,
     chi_square_sf,
     fd_gradient,
     log_normal_cdf,
+    log_normal_cdf_and_mills,
     log_normal_pdf,
     normal_cdf,
     normal_pdf,
     solve_spd,
 )
-from oracles import chi_square_sf_by_integration, normal_cdf_by_integration
+from oracles import (
+    chi_square_sf_by_integration,
+    log_normal_cdf_mp,
+    normal_cdf_by_integration,
+    normal_cdf_mp,
+)
 
 moderate_floats = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 wide_floats = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
@@ -61,6 +70,11 @@ class TestNormalCdf:
         vals = normal_cdf(grid)
         assert (np.diff(vals) >= 0.0).all()
         assert (vals >= 0.0).all() and (vals <= 1.0).all()
+
+    def test_long_arrays_match_short_ones(self):
+        z = np.random.default_rng(2).normal(0.0, 6.0, size=(3, _BLOCK + 7))
+        short = np.concatenate([normal_cdf(part) for part in np.array_split(z.ravel(), 40)])
+        np.testing.assert_array_equal(normal_cdf(z), short.reshape(z.shape))
 
     def test_accuracy_bound(self):
         for z in np.linspace(-8, 8, 33):
@@ -165,3 +179,63 @@ class TestChiSquareSf:
             chi_square_sf(-1.0, 2)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
+
+
+class TestAgainstMpmath:
+    """The numpy-only kernels against 50-digit mpmath references."""
+
+    def test_erfcx_relative_error(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [[0.0], rng.uniform(0, 6, 400), rng.uniform(6, 60, 200), np.geomspace(60, 1e12, 200)]
+        )
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.exp(mpmath.mpf(v) ** 2) * mpmath.erfc(v)) for v in x])
+        assert np.abs(_erfcx(x) / ref - 1.0).max() <= 2e-15
+        assert _erfcx(np.array([np.inf]))[0] == 0.0
+
+    def test_normal_cdf_absolute_error(self):
+        z = np.concatenate([np.linspace(-40, 40, 1601), np.random.default_rng(1).uniform(-9, 9, 400)])
+        with mpmath.workdps(50):
+            ref = np.array([float(normal_cdf_mp(v)) for v in z])
+        assert np.abs(normal_cdf(z) - ref).max() <= 1e-15
+
+    def test_log_normal_cdf_relative_error(self):
+        z = np.concatenate(
+            [np.linspace(-1e3, 8, 1201), -np.geomspace(1e-12, 1e3, 200), np.geomspace(1e-12, 8, 100)]
+        )
+        with mpmath.workdps(50):
+            ref = np.array([float(log_normal_cdf_mp(v)) for v in z])
+        assert np.abs(log_normal_cdf(z) / ref - 1.0).max() <= 1e-13
+
+    def test_mills_ratio_relative_error(self):
+        z = np.concatenate([np.linspace(-1e3, 8, 1201), np.linspace(-3, 3, 121)])
+        log_cdf, ratio = log_normal_cdf_and_mills(z)
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.npdf(v) / normal_cdf_mp(v)) for v in z])
+        assert np.abs(ratio / ref - 1.0).max() <= 1e-13
+        np.testing.assert_array_equal(log_cdf, log_normal_cdf(z))
+
+    def test_chi_square_sf_against_gammaincc(self):
+        x = np.concatenate([np.linspace(0, 12, 49), np.linspace(12, 150, 70)])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for df in range(1, 31):
+                for v in x:
+                    # upper regularized gamma: the integral from x/2 to infinity
+                    ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(v) / 2, regularized=True)
+                    worst = max(worst, abs(chi_square_sf(float(v), df) - float(ref)))
+        assert worst <= 1e-13
+
+    def test_nan_passes_through(self):
+        assert math.isnan(normal_cdf(math.nan))
+        assert math.isnan(log_normal_cdf(math.nan))
+        assert np.isnan(_erfcx(np.array([np.nan]))).all()
+        assert all(np.isnan(v).all() for v in log_normal_cdf_and_mills(np.array([np.nan])))
+        assert math.isnan(chi_square_sf(math.nan, 1))
+        assert math.isnan(chi_square_sf(math.nan, 4))
+
+    def test_infinite_arguments(self):
+        assert normal_cdf(-math.inf) == 0.0 and normal_cdf(math.inf) == 1.0
+        assert log_normal_cdf(-math.inf) == -math.inf and log_normal_cdf(math.inf) == 0.0
+        assert chi_square_sf(math.inf, 1) == 0.0 and chi_square_sf(math.inf, 6) == 0.0

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from effx.tobit import (
     score_and_hessian,
     wald_test,
 )
-from oracles import tobit_loglik_reference
+from oracles import log_normal_cdf_mp, normal_cdf_mp, tobit_loglik_reference
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -54,6 +57,13 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             CensoredSample(y=np.array([0.5]), X=np.ones((1, 1)), lower=1.0, upper=0.0)
 
+    @pytest.mark.parametrize(
+        "lower, upper", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)]
+    )
+    def test_non_finite_limits_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            CensoredSample(y=np.array([0.5]), X=np.ones((1, 1)), lower=lower, upper=upper)
+
 
 class TestLogLikelihood:
     def test_interior_row_at_mean(self):
@@ -82,6 +92,43 @@ class TestLogLikelihood:
         s = CensoredSample(y=np.array([0.5]), X=np.ones((1, 1)))
         with pytest.raises(ValueError):
             log_likelihood(s, np.array([0.5]), 0.0)
+
+    def test_loglik_rows_equal_the_full_terms(self):
+        s = simulate(np.random.default_rng(4), n=60)
+        beta, sigma = np.array([0.35, 0.45, -0.15]), 0.27
+        np.testing.assert_array_equal(
+            effx.tobit._loglik_rows(s, beta, sigma), effx.tobit._terms(s, beta, sigma)[0]
+        )
+
+
+def _sides_sample():
+    """Rows on both limits whose standardized distances a = sign * (mean - limit) / sigma
+    run from -40 to 8 at beta = (0, 1), sigma = 1, plus one interior row."""
+    a = np.linspace(-40.0, 8.0, 25)
+    mean_lower = -a  # lower = 0: a = (0 - mean) / 1
+    mean_upper = 1.0 + a  # upper = 1: a = (mean - 1) / 1
+    x = np.concatenate([mean_lower, mean_upper, [0.5]])
+    y = np.concatenate([np.zeros(a.size), np.ones(a.size), [0.5]])
+    return CensoredSample(y=y, X=np.column_stack([np.ones(x.size), x])), a
+
+
+class TestCensoredTerms:
+    def test_both_sides_match_extended_precision(self):
+        s, a = _sides_sample()
+        beta = np.array([0.0, 1.0])
+        ll, s_b, *_ = effx.tobit._terms(s, beta, 1.0)
+        with mpmath.workdps(50):
+            ref_ll = np.array([float(log_normal_cdf_mp(v)) for v in a])
+            ref_ratio = np.array([float(mpmath.npdf(v) / normal_cdf_mp(v)) for v in a])
+        n = a.size
+        for rows, sign in ((slice(0, n), -1.0), (slice(n, 2 * n), 1.0)):
+            np.testing.assert_allclose(ll[rows], ref_ll, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(sign * s_b[rows], ref_ratio, rtol=1e-13)
+
+    def test_deep_tail_score_and_hessian_are_finite(self):
+        s, _ = _sides_sample()
+        grad, hess = score_and_hessian(s, np.array([0.0, 1.0]), 1.0)
+        assert np.isfinite(grad).all() and np.isfinite(hess).all()
 
 
 class TestScoreAndHessian:
