@@ -16,6 +16,23 @@ means constant. When the CRS and VRS scores differ, every CRS optimum has
 its sum on the same side of 1, so the returned one gives the class. Only a
 score tie with the sum away from 1 needs one more LP, for the bound of the
 range nearer 1.
+
+run_frontier solves each score program over a working set of columns
+rather than all n units (restricted basis entry: Ali 1993, "Streamlined
+computation for DEA", EJOR 64; Dula 2011, BuildHull). Each returns
+assumption keeps a frame of units known to be peers. The CRS frame starts
+with the unit of best y_o / x_i ratio for every input-output pair; the VRS
+frame adds the unit of least x_i for every input and of most y_o for every
+output. Both kinds are efficient under their assumption, so they are
+likely peers. Unit j is solved over frame + {j}, which is feasible (theta
+= 1 on j itself), and every unit's column is priced with the optimal
+duals y: lambda_k has reduced cost x_k.y_in - y_k.y_out (- y_conv under
+VRS). If none is negative beyond tolerance, y is dual feasible for the
+full program, so by LP duality the restricted optimum is the full one;
+otherwise the units that price out join the LP and it is solved again.
+The peers of the final solve join the frame. A solve whose basis cannot be
+refactored has no duals and is repeated over all columns. efficiency(),
+classify_rts() and the intensity-sum LP always use all columns.
 """
 
 from __future__ import annotations
@@ -27,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset
-from .lp import EQ, GE, LpError, LpProblem, LpStatus, solve_lp
+from .lp import EQ, GE, LpError, LpOptions, LpProblem, LpSolution, LpStatus, solve_lp
 
 __all__ = [
     "DeaOptions",
@@ -109,8 +126,12 @@ class FrontierReport:
     mean_pte: float
 
 
-def build_envelopment_lp(ds: Dataset, j: int, opts: DeaOptions) -> LpProblem:
-    """Envelopment program for unit j: variables (theta, lambda_1..n).
+def build_envelopment_lp(
+    ds: Dataset, j: int, opts: DeaOptions, cols: np.ndarray | None = None
+) -> LpProblem:
+    """Envelopment program for unit j: variables (theta, lambda_k for k in
+    cols), with cols the ascending unit indices that may serve as peers
+    (None means all n units; a subset must contain j).
 
     Rows: theta * x_ij - sum_k lambda_k x_ik >= 0 for each input i,
     sum_k lambda_k y_ok >= y_oj for each output o, plus the convexity row
@@ -120,41 +141,100 @@ def build_envelopment_lp(ds: Dataset, j: int, opts: DeaOptions) -> LpProblem:
     """
     X = ds.input_matrix
     Y = ds.output_matrix
-    n, m = X.shape
+    x_j, y_j = X[j], Y[j]
+    if cols is not None:
+        X, Y = X[cols], Y[cols]
+    k, m = X.shape
     s = Y.shape[1]
     vrs = opts.returns_to_scale is Rts.VRS
 
     rows = m + s + (1 if vrs else 0)
-    A = np.zeros((rows, 1 + n))
+    A = np.zeros((rows, 1 + k))
     b = np.zeros(rows)
     relations: list[str] = []
     for i in range(m):
-        A[i, 0] = X[j, i]
+        A[i, 0] = x_j[i]
         A[i, 1:] = -X[:, i]
         relations.append(GE)
     for o in range(s):
         A[m + o, 1:] = Y[:, o]
-        b[m + o] = Y[j, o]
+        b[m + o] = y_j[o]
         relations.append(GE)
     if vrs:
         A[m + s, 1:] = 1.0
         b[m + s] = 1.0
         relations.append(EQ)
 
-    c = np.zeros(1 + n)
+    c = np.zeros(1 + k)
     c[0] = 1.0
     return LpProblem(c=c, A=A, relations=tuple(relations), b=b)
 
 
-def _solve_envelopment(ds: Dataset, j: int, opts: DeaOptions) -> tuple[float, np.ndarray]:
-    problem = build_envelopment_lp(ds, j, opts)
+def _solve(ds: Dataset, j: int, problem: LpProblem, what: str) -> LpSolution:
     try:
         sol = solve_lp(problem)
     except LpError as err:
         raise SolverFailure(ds.dmus[j].id, str(err)) from err
     if sol.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(ds.dmus[j].id, f"envelopment LP ended {sol.status.value}")
+        raise SolverFailure(ds.dmus[j].id, f"{what} LP ended {sol.status.value}")
+    return sol
+
+
+def _solve_envelopment(ds: Dataset, j: int, opts: DeaOptions) -> tuple[float, np.ndarray]:
+    sol = _solve(ds, j, build_envelopment_lp(ds, j, opts), "envelopment")
     return float(sol.objective_value), sol.x[1:].copy()
+
+
+class _Frame:
+    """Working set of known peers under one returns assumption.
+
+    Unit j is scored over the frame plus j; every other unit is then priced
+    with the solve's duals, the units that price out join the LP, and the
+    solve repeats until none does. The peers of each final solve join the
+    frame. See the module docstring for the seeds and the exactness
+    argument.
+    """
+
+    def __init__(self, ds: Dataset, opts: DeaOptions):
+        X, Y = ds.input_matrix, ds.output_matrix
+        n = ds.n
+        vrs = opts.returns_to_scale is Rts.VRS
+        # Best y_o / x_i ratio per input-output pair: CRS-efficient.
+        seeds = [(Y[:, None, :] / X[:, :, None]).reshape(n, -1).argmax(axis=0)]
+        # Least of some input or most of some output: VRS-efficient.
+        if vrs:
+            seeds += [X.argmin(axis=0), Y.argmax(axis=0)]
+        self.mask = np.zeros(n, dtype=bool)
+        self.mask[np.concatenate(seeds)] = True
+        # Row k is minus unit k's LP column (constraint rows in order), so
+        # the reduced cost of lambda_k is price @ duals.
+        self.price = np.hstack([X, -Y] + ([np.full((n, 1), -1.0)] if vrs else []))
+        self.price_abs = np.abs(self.price)
+        self.ds = ds
+        self.opts = opts
+
+    def solve(self, j: int) -> tuple[float, np.ndarray]:
+        ds, opts = self.ds, self.opts
+        cols = self.mask.copy()
+        cols[j] = True
+        while True:
+            idx = np.flatnonzero(cols)
+            sol = _solve(ds, j, build_envelopment_lp(ds, j, opts, idx), "envelopment")
+            if sol.duals is None:
+                # No prices to certify the subset with: use every column.
+                idx = np.arange(ds.n)
+                sol = _solve(ds, j, build_envelopment_lp(ds, j, opts), "envelopment")
+                break
+            y = sol.duals
+            tol = LpOptions.opt_tol * (1.0 + self.price_abs @ np.abs(y))
+            enter = (self.price @ y < -tol) & ~cols
+            if not enter.any():
+                break
+            cols |= enter
+        lam = np.zeros(ds.n)
+        lam[idx] = sol.x[1:]
+        self.mask |= lam > 0.0
+        return float(sol.objective_value), lam
 
 
 def efficiency(ds: Dataset, j: int, opts: DeaOptions) -> float:
@@ -188,12 +268,7 @@ def _lambda_sum_bound(ds: Dataset, j: int, theta: float, sign: float) -> float:
     env = build_envelopment_lp(ds, j, DeaOptions(Rts.CRS))
     b = env.b - theta * env.A[:, 0] * (1.0 + 1e-9)
     problem = LpProblem(c=np.full(ds.n, sign), A=env.A[:, 1:], relations=env.relations, b=b)
-    try:
-        sol = solve_lp(problem)
-    except LpError as err:
-        raise SolverFailure(ds.dmus[j].id, str(err)) from err
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(ds.dmus[j].id, f"intensity-sum LP ended {sol.status.value}")
+    sol = _solve(ds, j, problem, "intensity-sum")
     return sign * float(sol.objective_value)
 
 
@@ -230,11 +305,17 @@ def _snap(theta: float, tol: float) -> float:
     return 1.0 if abs(theta - 1.0) <= tol else theta
 
 
-def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
-    crs_opts = DeaOptions(Rts.CRS, opts.efficiency_tol)
-    vrs_opts = DeaOptions(Rts.VRS, opts.efficiency_tol)
-    theta_crs, lam = _solve_envelopment(ds, j, crs_opts)
-    theta_vrs, _ = _solve_envelopment(ds, j, vrs_opts)
+def _evaluate_dmu(
+    ds: Dataset, j: int, opts: DeaOptions, frames: tuple[_Frame, _Frame] | None = None
+) -> EfficiencyResult:
+    """Scores, class and CRS intensities of unit j: over all columns, or
+    over the (CRS, VRS) working sets in frames."""
+    if frames is None:
+        theta_crs, lam = _solve_envelopment(ds, j, DeaOptions(Rts.CRS))
+        theta_vrs, _ = _solve_envelopment(ds, j, DeaOptions(Rts.VRS))
+    else:
+        theta_crs, lam = frames[0].solve(j)
+        theta_vrs, _ = frames[1].solve(j)
     ote = _snap(theta_crs, opts.efficiency_tol)
     pte = _snap(theta_vrs, opts.efficiency_tol)
     se = scale_efficiency(ote, pte, opts.efficiency_tol)
@@ -250,7 +331,8 @@ def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
 
 
 def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
-    """Score every unit under both returns assumptions, in dataset order.
+    """Score every unit under both returns assumptions, in dataset order,
+    each over a working set of known peers (see _Frame).
 
     Emits a warning when the dataset fails the discriminatory-power rules
     of thumb.
@@ -267,7 +349,8 @@ def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
             stacklevel=2,
         )
 
-    results = tuple(_evaluate_dmu(ds, j, opts) for j in range(ds.n))
+    frames = (_Frame(ds, DeaOptions(Rts.CRS)), _Frame(ds, DeaOptions(Rts.VRS)))
+    results = tuple(_evaluate_dmu(ds, j, opts, frames) for j in range(ds.n))
 
     return FrontierReport(
         results=results,

@@ -3,12 +3,14 @@
 Problems are stated as ``min c.x`` subject to ``A x (<=|=|>=) b`` with
 implicit bounds ``x >= 0``. The solver equilibrates rows internally, runs
 Dantzig pricing, and falls back to Bland's rule after a run of
-non-improving (degenerate) pivots so that every instance terminates.
+non-improving (degenerate) pivots so that every instance terminates. A
+solve that still reaches the pivot cap is retried once with Bland's rule
+from the first pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -100,7 +102,8 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """Solver verdict. ``basis`` indexes the internal augmented columns;
-    indices below ``n_vars`` refer to the problem's own variables."""
+    indices below ``n_vars`` refer to the problem's own variables.
+    ``duals`` is None unless the optimal basis could be refactored."""
 
     status: LpStatus
     x: np.ndarray | None
@@ -187,6 +190,7 @@ class _Tableau:
         T[:r, :-1] = E
         T[:r, -1] = b
         self.T = T
+        self._outer = np.empty_like(T)  # rank-1 update buffer, reused by every pivot
         self.iterations = 0
 
     # -- pivoting ---------------------------------------------------------
@@ -196,40 +200,48 @@ class _Tableau:
         T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        T -= np.multiply.outer(factors, T[row], out=self._outer)
         T[:, col] = 0.0
         T[row, col] = 1.0
         self.basis[row] = col
 
-    def run(self, allowed: np.ndarray) -> tuple[str, int]:
-        """Pivot until optimal or unbounded. Returns (status, entering col)."""
+    def run(self, bland: bool) -> tuple[str, int]:
+        """Pivot until optimal or unbounded. Returns (status, entering col).
+
+        Artificial columns never enter: pricing reads only the columns
+        before art_start. bland=True applies Bland's rule from the first
+        pivot; otherwise it engages after stall_threshold degenerate pivots.
+        """
         opts = self.opts
         T = self.T
+        rc = T[-1, : self.art_start]
         stall = 0
-        bland = False
+        bland_only = bland
         prev = T[-1, -1]
         while True:
-            rc = T[-1, :-1]
-            mask = allowed & (rc < -opts.opt_tol)
-            if not mask.any():
-                return "optimal", -1
-            idx = np.nonzero(mask)[0]
-            enter = int(idx[0] if bland else idx[np.argmin(rc[idx])])
+            if bland:
+                neg = (rc < -opts.opt_tol).nonzero()[0]
+                if not neg.size:
+                    return "optimal", -1
+                enter = int(neg[0])
+            else:
+                enter = int(rc.argmin())
+                if rc[enter] >= -opts.opt_tol:
+                    return "optimal", -1
 
             col = T[: self.r, enter]
-            pos = col > opts.pivot_tol
-            if not pos.any():
+            rows = (col > opts.pivot_tol).nonzero()[0]
+            if not rows.size:
                 if (col > 0.0).any():
                     raise NumericalBreakdown(
                         f"all pivots in column {enter} below pivot_tol"
                     )
                 return "unbounded", enter
-            rows = np.nonzero(pos)[0]
             ratios = T[rows, -1] / col[rows]
             best = ratios.min()
             ties = rows[ratios <= best + opts.pivot_tol * (1.0 + abs(best))]
             # Smallest basic-variable index among ties (Bland-compatible).
-            leave = int(ties[np.argmin(self.basis[ties])])
+            leave = int(ties[self.basis[ties].argmin()])
 
             self.pivot(leave, enter)
             self.iterations += 1
@@ -239,7 +251,7 @@ class _Tableau:
             cur = T[-1, -1]
             if cur > prev + 1e-12 * (1.0 + abs(prev)):
                 stall = 0
-                bland = False
+                bland = bland_only
             else:
                 stall += 1
                 if stall >= opts.stall_threshold:
@@ -260,19 +272,29 @@ class _Tableau:
 def solve_lp(problem: LpProblem, opts: LpOptions = LpOptions()) -> LpSolution:
     """Solve an LpProblem to optimality with a two-phase primal simplex.
 
-    Raises CycleLimitExceeded or NumericalBreakdown on pathological
-    instances; otherwise always returns a status verdict.
+    A solve that reaches the pivot cap is retried once from scratch with
+    Bland's rule from the first pivot; ``iterations`` then counts the
+    pivots of both attempts. Raises CycleLimitExceeded when the retry
+    reaches the cap too, or NumericalBreakdown on pathological instances;
+    otherwise always returns a status verdict.
     """
+    try:
+        return _solve(problem, opts, bland=False)
+    except CycleLimitExceeded:
+        sol = _solve(problem, opts, bland=True)
+    # The capped attempt raised on its pivot number max_iterations + 1.
+    return replace(sol, iterations=sol.iterations + opts.max_iterations + 1)
+
+
+def _solve(problem: LpProblem, opts: LpOptions, bland: bool) -> LpSolution:
     tab = _Tableau(problem, opts)
     d, r, ncols = tab.d, tab.r, tab.ncols
-    is_artificial = np.zeros(ncols, dtype=bool)
-    is_artificial[tab.art_start :] = True
 
-    if is_artificial.any():
+    if tab.art_start < ncols:
         phase1 = np.zeros(ncols)
         phase1[tab.art_start :] = 1.0
         tab.set_costs(phase1)
-        status, _ = tab.run(~is_artificial)
+        status, _ = tab.run(bland)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded below
             raise NumericalBreakdown("phase 1 terminated without an optimum")
         if -tab.T[-1, -1] > opts.feas_tol:
@@ -286,16 +308,15 @@ def solve_lp(problem: LpProblem, opts: LpOptions = LpOptions()) -> LpSolution:
         # Drive leftover artificials out of the basis where possible;
         # rows that resist are redundant and stay pinned at zero.
         for i in range(r):
-            if is_artificial[tab.basis[i]]:
-                row = tab.T[i, :-1]
-                cand = np.nonzero((~is_artificial) & (np.abs(row) > opts.pivot_tol))[0]
+            if tab.basis[i] >= tab.art_start:
+                cand = np.flatnonzero(np.abs(tab.T[i, : tab.art_start]) > opts.pivot_tol)
                 if cand.size:
                     tab.pivot(i, int(cand[0]))
 
     costs = np.zeros(ncols)
     costs[:d] = problem.c
     tab.set_costs(costs)
-    status, enter = tab.run(~is_artificial)
+    status, enter = tab.run(bland)
 
     basis = tuple(int(i) for i in tab.basis)
     if status == "unbounded":
@@ -323,11 +344,12 @@ def solve_lp(problem: LpProblem, opts: LpOptions = LpOptions()) -> LpSolution:
     )
 
 
-def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray]:
+def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray | None]:
     """Recompute the basic solution and duals from the final basis.
 
-    A fresh factorization removes drift accumulated across pivots; the
-    tableau values are the fallback when the basis matrix is singular.
+    A fresh factorization removes drift accumulated across pivots. When
+    the basis matrix is singular, x falls back to the tableau values and
+    the duals are None: no certified prices exist.
     """
     r, ncols = tab.r, tab.ncols
     costs = np.zeros(ncols)
@@ -340,7 +362,7 @@ def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray]:
         y = np.linalg.solve(B.T, costs[tab.basis])
     except np.linalg.LinAlgError:
         x_full[tab.basis] = tab.T[:r, -1]
-        return x_full[: tab.d], np.zeros(r)
+        return x_full[: tab.d], None
     x_full[tab.basis] = xb
     duals = y * sign / tab.row_scale
     return x_full[: tab.d], duals

@@ -16,10 +16,11 @@ from effx.dea import (
     run_frontier,
     scale_efficiency,
 )
-from effx.dea import _rts_class
-from effx.lp import EQ, GE
+from effx.dea import _rts_class, _snap
+from effx.lp import EQ, GE, LpOptions, LpStatus, check_solution, solve_lp
 from conftest import random_dataset
 from oracles import lambda_sum_range_highs, vertex_minimum
+from test_acceptance import GOLDEN_SCORES, TOL
 
 CRS = DeaOptions(returns_to_scale=Rts.CRS)
 VRS = DeaOptions(returns_to_scale=Rts.VRS)
@@ -80,6 +81,19 @@ class TestBuildLp:
             assert p.A[i, 0] == X[j, i]
             assert p.A[i, 1 + j] == -X[j, i]
             assert p.b[i] == 0.0
+
+    def test_column_subset(self, airports):
+        j = airports.index_of("AHO")
+        full = build_envelopment_lp(airports, j, VRS)
+        same = build_envelopment_lp(airports, j, VRS, np.arange(airports.n))
+        np.testing.assert_array_equal(same.A, full.A)
+        np.testing.assert_array_equal(same.b, full.b)
+        cols = np.array([2, j, 17])
+        sub = build_envelopment_lp(airports, j, VRS, cols)
+        assert sub.n_vars == 1 + 3
+        np.testing.assert_array_equal(sub.A[:, 0], full.A[:, 0])
+        np.testing.assert_array_equal(sub.A[:, 1:], full.A[:, 1 + cols])
+        np.testing.assert_array_equal(sub.b, full.b)
 
     def test_single_unit_self_reference(self):
         ds = one_unit_dataset()
@@ -200,8 +214,11 @@ class TestRtsRule:
         assert (lp_calls[0].c == -1.0).all()  # max sum(lambda)
 
     def test_fixture_solves_two_lps_per_unit(self, airports, lp_calls):
+        # only the CRS and VRS score programs run: no intensity-sum LP; one
+        # working-set solve is repeated after a unit prices out
         run_frontier(airports, DeaOptions())
-        assert len(lp_calls) == 2 * airports.n == 60
+        assert all(p.c[0] == 1.0 and not p.c[1:].any() for p in lp_calls)
+        assert len(lp_calls) == 2 * airports.n + 1 == 61
 
     def test_classify_rts_solves_two_lps(self, airports, lp_calls):
         assert classify_rts(airports, airports.index_of("PMF"), CRS) is RtsClass.INCREASING
@@ -260,6 +277,85 @@ class TestFrontierReport:
         ds = random_dataset(np.random.default_rng(0), n=5, m=2, s=2)
         with pytest.warns(UserWarning):
             run_frontier(ds, DeaOptions())
+
+
+def with_ties(ds, rng):
+    """ds plus a scaled twin of one unit and an exact copy of another: both
+    put units on a shared facet, so the LPs have degenerate ties."""
+    src = ds.dmus[int(rng.integers(0, ds.n))]
+    k = float(rng.choice([0.5, 2.0, 3.0]))
+    twin = DmuRecord("twin", "", tuple(k * v for v in src.inputs), tuple(k * v for v in src.outputs))
+    dup = ds.dmus[int(rng.integers(0, ds.n))]
+    copy = DmuRecord("copy", "", dup.inputs, dup.outputs)
+    return Dataset(ds.dmus + (twin, copy), ds.input_names, ds.output_names)
+
+
+class TestWorkingSet:
+    """run_frontier solves each unit over a working set of known peers and
+    prices the rest with the duals; the scores equal full-column solves."""
+
+    @pytest.mark.filterwarnings("ignore:dataset has n")
+    @settings(max_examples=30)
+    @given(seeds)
+    def test_matches_full_column_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(
+            rng, n=int(rng.integers(2, 41)), m=int(rng.integers(1, 4)), s=int(rng.integers(1, 4))
+        )
+        ds = with_ties(ds, rng)
+        tol = DeaOptions().efficiency_tol
+        for j, r in enumerate(run_frontier(ds, DeaOptions()).results):
+            assert abs(r.ote - _snap(efficiency(ds, j, CRS), tol)) <= 1e-9, j
+            assert abs(r.pte - _snap(efficiency(ds, j, VRS), tol)) <= 1e-9, j
+
+    def test_most_solves_use_a_subset(self, lp_calls):
+        n = 300
+        ds = random_dataset(np.random.default_rng(2), n, 4, 4)
+        rep = run_frontier(ds, DeaOptions())
+        envelopment = [p for p in lp_calls if p.c[0] == 1.0 and not p.c[1:].any()]
+        assert len(envelopment) >= 2 * n
+        assert sum(p.n_vars < n + 1 for p in envelopment) > 0.9 * len(envelopment)
+        full = scores_for(ds)
+        want = np.where(np.abs(full - 1.0) <= DeaOptions().efficiency_tol, 1.0, full)
+        got = np.array([[r.ote, r.pte] for r in rep.results])
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_no_duals_falls_back_to_all_columns(self, airports, monkeypatch, lp_calls):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rep = run_frontier(airports, DeaOptions())
+        # every unit: one working-set solve without duals, then all columns
+        assert len(lp_calls) == 4 * airports.n
+        assert sum(p.n_vars == airports.n + 1 for p in lp_calls) >= 2 * airports.n
+        for r in rep.results:
+            ote, pte, se, rts = GOLDEN_SCORES[r.dmu_id]
+            assert abs(r.ote - ote) <= TOL and abs(r.pte - pte) <= TOL, r.dmu_id
+            assert abs(r.se - se) <= TOL and r.rts.value == rts, r.dmu_id
+
+    def test_fixture_full_column_pivots(self, airports):
+        # the pivot sequence of a full-column solve is pinned: 714 pivots
+        # over the fixture's 60 score programs
+        pivots = sum(
+            solve_lp(build_envelopment_lp(airports, j, o)).iterations
+            for j in range(airports.n)
+            for o in (CRS, VRS)
+        )
+        assert pivots == 714
+
+
+class TestSolverRegressions:
+    def test_uniform_draw_7_unit_997(self):
+        # Dantzig pricing cycles on this VRS program until the pivot cap;
+        # the retry with Bland's rule from the first pivot solves it
+        ds = random_dataset(np.random.default_rng(7), 1500, 4, 4)
+        problem = build_envelopment_lp(ds, 997, VRS)
+        sol = solve_lp(problem)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+        assert check_solution(problem, sol)
+        assert sol.iterations > LpOptions().max_iterations  # both attempts counted
 
 
 def scores_for(ds, opts_list=(CRS, VRS)):

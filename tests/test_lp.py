@@ -99,6 +99,18 @@ class TestDegeneracy:
             assert sol.iterations <= LpOptions().max_iterations
 
 
+class TestRefine:
+    def test_singular_refactor_gives_no_duals(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        sol = solve_lp(simple([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0]))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.duals is None
+        np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-12)
+
+
 class TestCheckSolution:
     def test_accepts_verified_optimum(self):
         p = simple([1.0], [[1.0]], (GE,), [3.0])
