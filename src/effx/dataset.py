@@ -157,12 +157,6 @@ class Dataset:
         Y.setflags(write=False)
         return Y
 
-    def index_of(self, dmu_id: str) -> int:
-        for i, rec in enumerate(self.dmus):
-            if rec.id == dmu_id:
-                return i
-        raise KeyError(dmu_id)
-
 
 def _parse_number(raw: str, row: int, column: str) -> float:
     try:

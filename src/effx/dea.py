@@ -30,9 +30,22 @@ duals y: lambda_k has reduced cost x_k.y_in - y_k.y_out (- y_conv under
 VRS). If none is negative beyond tolerance, y is dual feasible for the
 full program, so by LP duality the restricted optimum is the full one;
 otherwise the units that price out join the LP and it is solved again.
-The peers of the final solve join the frame. A solve whose basis cannot be
-refactored has no duals and is repeated over all columns. efficiency(),
-classify_rts() and the intensity-sum LP always use all columns.
+The peers of the final solve join the frame.
+
+The units are scored in blocks of _BLOCK. Only the theta column and the
+right-hand side differ between the programs of one returns assumption,
+so their rows are equilibrated once per dataset and a block's programs
+share every lambda column: the frame plus the block's own units.
+lp._lockstep solves them together, one revised-simplex pivot per program
+per pass. The units of the block that price out run again over those
+columns plus the ones that priced them out, until none does; the peers
+join the frame after each pass over the block. A program the lockstep
+cannot finish (a stall, a pivot below tolerance, a basis that will not
+refactor) is scored on its own by solve_lp over frame + {j} as above; a
+serial solve whose basis cannot be refactored has no duals and is
+repeated over all columns. Results keep the CRS peers sparsely (the
+nonzero intensity weights and their units). efficiency(), classify_rts()
+and the intensity-sum LP always use solve_lp over all columns.
 """
 
 from __future__ import annotations
@@ -40,11 +53,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .lp import EQ, GE, LpError, LpOptions, LpProblem, LpSolution, LpStatus, solve_lp
+from .lp import EQ, GE, LpError, LpOptions, LpProblem, LpSolution, LpStatus, _lockstep, solve_lp
 
 __all__ = [
     "DeaOptions",
@@ -98,6 +112,9 @@ class DeaOptions:
 # How far sum(lambda) may sit from 1 and still read as constant returns.
 _RTS_TOL = 1e-6
 
+# Units that run_frontier scores together in one lockstep simplex.
+_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class EfficiencyResult:
@@ -105,7 +122,9 @@ class EfficiencyResult:
 
     Scores within efficiency_tol of 1 are snapped to exactly 1.0 so that
     efficient units are recognizable downstream (reports, censoring).
-    lambda_sum is the intensity-weight sum at the returned CRS optimum.
+    peers and peer_weights are the units with a nonzero intensity weight
+    at the returned CRS optimum (ascending) and those weights; lambda_sum
+    is the sum of all its weights.
     """
 
     dmu_id: str
@@ -113,7 +132,8 @@ class EfficiencyResult:
     pte: float
     se: float
     rts: RtsClass
-    lambda_crs: np.ndarray
+    peers: np.ndarray
+    peer_weights: np.ndarray
     lambda_sum: float
 
 
@@ -180,19 +200,28 @@ def _solve(ds: Dataset, j: int, problem: LpProblem, what: str) -> LpSolution:
     return sol
 
 
-def _solve_envelopment(ds: Dataset, j: int, opts: DeaOptions) -> tuple[float, np.ndarray]:
+class _Solve(NamedTuple):
+    """One score program's optimum: theta, and lambda's weights on units
+    (ascending); every unit of nonzero weight is listed, zeros may be."""
+
+    theta: float
+    units: np.ndarray
+    lam: np.ndarray
+
+
+def _solve_envelopment(ds: Dataset, j: int, opts: DeaOptions) -> _Solve:
     sol = _solve(ds, j, build_envelopment_lp(ds, j, opts), "envelopment")
-    return float(sol.objective_value), sol.x[1:].copy()
+    return _Solve(float(sol.objective_value), np.arange(ds.n), sol.x[1:])
 
 
 class _Frame:
     """Working set of known peers under one returns assumption.
 
-    Unit j is scored over the frame plus j; every other unit is then priced
-    with the solve's duals, the units that price out join the LP, and the
-    solve repeats until none does. The peers of each final solve join the
-    frame. See the module docstring for the seeds and the exactness
-    argument.
+    solve_block scores a block of units at once over the frame plus the
+    block; solve scores one unit over the frame plus itself, pricing the
+    other units with the solve's duals and repeating with the ones that
+    price out until none does. The peers of every solve join the frame.
+    See the module docstring for the seeds and the exactness argument.
     """
 
     def __init__(self, ds: Dataset, opts: DeaOptions):
@@ -210,10 +239,64 @@ class _Frame:
         # the reduced cost of lambda_k is price @ duals.
         self.price = np.hstack([X, -Y] + ([np.full((n, 1), -1.0)] if vrs else []))
         self.price_abs = np.abs(self.price)
+        # Every program's rows, equilibrated once by their largest entry
+        # over all units: the inputs negated into "<= 0" (slack +1), the
+        # outputs ">= y_o" (surplus -1), then convexity "= 1". Row k of
+        # lp_cols is unit k's column in them; row_dual maps their duals
+        # back to the rows of build_envelopment_lp.
+        scale = self.price_abs.max(axis=0)
+        scale[scale == 0.0] = 1.0
+        self.lp_cols = self.price_abs / scale
+        self.is_input = np.arange(scale.size) < ds.m
+        self.row_dual = np.where(self.is_input, -1.0, 1.0) / scale
+        k = ds.m + ds.s
+        self.slacks = np.zeros((scale.size, k))
+        self.slacks[np.arange(k), np.arange(k)] = np.where(self.is_input[:k], 1.0, -1.0)
         self.ds = ds
         self.opts = opts
 
-    def solve(self, j: int) -> tuple[float, np.ndarray]:
+    def solve_block(self, block: range) -> list[_Solve | None]:
+        """Score the units of block in lockstep (see lp._lockstep) over the
+        frame plus the block, then again over those columns plus the units
+        that priced out, for the units that had any, until none has. None
+        marks a unit that _lockstep left to solve_lp: solve settles it."""
+        rows, k = self.slacks.shape
+        out: list[_Solve | None] = [None] * len(block)
+        units = np.arange(block.start, block.stop)
+        cols = self.mask.copy()
+        cols[units] = True
+        while units.size:
+            idx = np.flatnonzero(cols)
+            N = np.hstack([np.zeros((rows, 1)), self.lp_cols[idx].T, self.slacks])
+            slack = np.where(np.arange(rows) < k, 1 + idx.size + np.arange(rows), -1)
+            own = self.lp_cols[units]
+            theta = np.where(self.is_input, -own, 0.0)
+            rhs = np.where(self.is_input, 0.0, own)
+
+            ok, basis, x, y = _lockstep(N, theta, rhs, slack)
+            duals = y * self.row_dual
+            tol = LpOptions.opt_tol * (1.0 + self.price_abs @ np.abs(duals).T)
+            enter = (self.price @ duals.T < -tol) & ~cols[:, None]
+            priced = ok & enter.any(axis=0)
+            done = ok & ~priced
+            # Each optimum's lambda columns in ascending unit order, padded
+            # with unit n where a position holds no lambda.
+            on = (basis >= 1) & (basis <= idx.size)
+            peer = np.where(on, idx[np.clip(basis - 1, 0, idx.size - 1)], self.ds.n)
+            order = peer.argsort(axis=1)
+            peer = np.take_along_axis(peer, order, axis=1)
+            lam = np.take_along_axis(np.where(on, x, 0.0), order, axis=1)
+            value = np.where(basis == 0, x, 0.0).sum(axis=1)
+            count = on.sum(axis=1)
+            for b in np.flatnonzero(done):
+                c = count[b]
+                out[units[b] - block.start] = _Solve(float(value[b]), peer[b, :c], lam[b, :c])
+            self.mask[peer[done[:, None] & (lam > 0.0)]] = True
+            cols |= self.mask | enter[:, priced].any(axis=1)
+            units = units[priced]
+        return out
+
+    def solve(self, j: int) -> _Solve:
         ds, opts = self.ds, self.opts
         cols = self.mask.copy()
         cols[j] = True
@@ -231,18 +314,16 @@ class _Frame:
             if not enter.any():
                 break
             cols |= enter
-        lam = np.zeros(ds.n)
-        lam[idx] = sol.x[1:]
-        self.mask |= lam > 0.0
-        return float(sol.objective_value), lam
+        lam = sol.x[1:]
+        self.mask[idx[lam > 0.0]] = True
+        return _Solve(float(sol.objective_value), idx, lam)
 
 
 def efficiency(ds: Dataset, j: int, opts: DeaOptions) -> float:
     """Optimal radial contraction factor for unit j under opts' returns
     assumption. Values within efficiency_tol of 1 mean the unit is
     efficient."""
-    theta, _ = _solve_envelopment(ds, j, opts)
-    return theta
+    return _solve_envelopment(ds, j, opts).theta
 
 
 def scale_efficiency(ote: float, pte: float, efficiency_tol: float = 1e-6) -> float:
@@ -305,34 +386,32 @@ def _snap(theta: float, tol: float) -> float:
     return 1.0 if abs(theta - 1.0) <= tol else theta
 
 
-def _evaluate_dmu(
-    ds: Dataset, j: int, opts: DeaOptions, frames: tuple[_Frame, _Frame] | None = None
-) -> EfficiencyResult:
-    """Scores, class and CRS intensities of unit j: over all columns, or
-    over the (CRS, VRS) working sets in frames."""
-    if frames is None:
-        theta_crs, lam = _solve_envelopment(ds, j, DeaOptions(Rts.CRS))
-        theta_vrs, _ = _solve_envelopment(ds, j, DeaOptions(Rts.VRS))
-    else:
-        theta_crs, lam = frames[0].solve(j)
-        theta_vrs, _ = frames[1].solve(j)
-    ote = _snap(theta_crs, opts.efficiency_tol)
+def _evaluate_dmu(ds: Dataset, j: int, opts: DeaOptions) -> EfficiencyResult:
+    """Scores, class and CRS peers of unit j over all columns."""
+    crs = _solve_envelopment(ds, j, DeaOptions(Rts.CRS))
+    return _result(ds, j, crs, _solve_envelopment(ds, j, DeaOptions(Rts.VRS)).theta, opts)
+
+
+def _result(ds: Dataset, j: int, crs: _Solve, theta_vrs: float, opts: DeaOptions) -> EfficiencyResult:
+    ote = _snap(crs.theta, opts.efficiency_tol)
     pte = _snap(theta_vrs, opts.efficiency_tol)
     se = scale_efficiency(ote, pte, opts.efficiency_tol)
+    nonzero = crs.lam != 0.0
     return EfficiencyResult(
         dmu_id=ds.dmus[j].id,
         ote=ote,
         pte=pte,
         se=se,
-        rts=_rts_class(ds, j, theta_crs, theta_vrs, lam, opts),
-        lambda_crs=lam,
-        lambda_sum=float(lam.sum()),
+        rts=_rts_class(ds, j, crs.theta, theta_vrs, crs.lam, opts),
+        peers=crs.units[nonzero],
+        peer_weights=crs.lam[nonzero],
+        lambda_sum=float(crs.lam.sum()),
     )
 
 
 def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
     """Score every unit under both returns assumptions, in dataset order,
-    each over a working set of known peers (see _Frame).
+    block by block over a working set of known peers (see _Frame).
 
     Emits a warning when the dataset fails the discriminatory-power rules
     of thumb.
@@ -349,11 +428,18 @@ def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
             stacklevel=2,
         )
 
-    frames = (_Frame(ds, DeaOptions(Rts.CRS)), _Frame(ds, DeaOptions(Rts.VRS)))
-    results = tuple(_evaluate_dmu(ds, j, opts, frames) for j in range(ds.n))
+    crs_frame, vrs_frame = _Frame(ds, DeaOptions(Rts.CRS)), _Frame(ds, DeaOptions(Rts.VRS))
+    results = []
+    for start in range(0, ds.n, _BLOCK):
+        block = range(start, min(start + _BLOCK, ds.n))
+        crs, vrs = crs_frame.solve_block(block), vrs_frame.solve_block(block)
+        for j, c, v in zip(block, crs, vrs):
+            c = c or crs_frame.solve(j)
+            theta_vrs = (v or vrs_frame.solve(j)).theta
+            results.append(_result(ds, j, c, theta_vrs, opts))
 
     return FrontierReport(
-        results=results,
+        results=tuple(results),
         efficient_crs=sum(1 for r in results if r.ote == 1.0),
         efficient_vrs=sum(1 for r in results if r.pte == 1.0),
         mean_ote=float(np.mean([r.ote for r in results])),

@@ -6,6 +6,13 @@ Dantzig pricing, and falls back to Bland's rule after a run of
 non-improving (degenerate) pivots so that every instance terminates. A
 solve that still reaches the pivot cap is retried once with Bland's rule
 from the first pivot.
+
+_lockstep is the batched counterpart that effx.dea scores blocks of units
+with: many programs that share all columns but one, solved together by a
+revised simplex with the same pricing and ratio test, one pivot per
+program per pass. It keeps no Bland's rule: a program that stalls, meets
+only tiny pivots or ends with a basis that is not certified optimal is
+reported back for solve_lp to settle.
 """
 
 from __future__ import annotations
@@ -416,3 +423,155 @@ def check_solution(problem: LpProblem, solution: LpSolution, opts: LpOptions = L
         if rc[j] < -tol * rc_scale[j]:
             return False
     return True
+
+
+def _lockstep(
+    N: np.ndarray,
+    theta: np.ndarray,
+    rhs: np.ndarray,
+    slack: np.ndarray,
+    opts: LpOptions = LpOptions(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve L programs ``min v_0`` s.t. ``[theta_l | N[:, 1:]] v = rhs_l``,
+    ``v >= 0``, in lockstep: each pass makes one revised-simplex pivot in
+    every program still running.
+
+    N (r x d) holds the equilibrated columns the programs share; column 0
+    is a placeholder for each program's own column, row l of theta (L x r).
+    rhs (L x r) is non-negative. Row i has the slack column slack[i] of N,
+    which is +-1 in row i and zero elsewhere, or none (-1). As in solve_lp,
+    a row starts on its slack where that is feasible and on an artificial
+    otherwise, pricing is Dantzig's over the columns of N, the ratio test
+    breaks ties by the smallest basic index, and artificials left basic
+    after phase 1 are pivoted out. Each pivot is a rank-1 update of the
+    program's basis inverse; the optimal bases are refactored for x_B and
+    the duals.
+
+    Returns (ok, basis, x_B, y), basis indexing N's columns (0 is the
+    program's own). ok is False for a program that made stall_threshold
+    pivots in a row without bettering its best objective or more than
+    max_iterations pivots, met only pivots below pivot_tol, ended anything
+    but optimal, kept an artificial, or whose refactored basis is not
+    primal feasible within feas_tol and dual feasible within opt_tol;
+    solve_lp settles those. A set of optimal bases that cannot be
+    refactored leaves every program not ok.
+    """
+    L, r = rhs.shape
+    d = N.shape[1]
+    negN = -N
+    NT = np.ascontiguousarray(N.T)
+    rows = np.arange(r)
+    sign = np.zeros(r)
+    has = slack >= 0
+    sign[has] = N[rows[has], slack[has]]
+    on_slack = has & ((sign > 0.0) | (rhs == 0.0))
+    basis = np.where(on_slack, slack, d + rows)  # d + i: row i's artificial
+    Binv = np.zeros((L, r, r))
+    Binv[:, rows, rows] = np.where(on_slack, sign, 1.0)
+    xB = rhs * Binv[:, rows, rows]
+    cB = (basis >= d).astype(float)  # phase 1 costs the artificials
+    phase2 = np.zeros(L, dtype=bool)
+    prev = (cB * xB).sum(1)
+    stall = np.zeros(L, dtype=int)
+    iters = np.zeros(L, dtype=int)
+    live = np.arange(L)  # the program of each row of the working arrays
+    own = theta.copy()  # each live program's own column
+
+    def entering(e: np.ndarray, own: np.ndarray, Binv: np.ndarray) -> np.ndarray:
+        a = NT[e]
+        mine = e == 0
+        a[mine] = own[mine]
+        return (Binv @ a[:, :, None])[:, :, 0]
+
+    ok = np.zeros(L, dtype=bool)
+    out_basis = np.zeros((L, r), dtype=int)
+    while live.size:
+        y = (cB[:, None, :] @ Binv)[:, 0]
+        rc = y @ negN
+        rc[:, 0] = phase2 - (y * own).sum(1)
+        enter = rc.argmin(1)
+        k = np.arange(live.size)
+        done = rc[k, enter] >= -opts.opt_tol
+        if done.any():
+            # Record the optima; start phase 2 where phase 1 ends feasible.
+            drop = done & phase2
+            ok[live[drop]] = True
+            out_basis[live[drop]] = basis[drop]
+            for i in np.flatnonzero(done & ~phase2):
+                drop[i] = prev[i] > opts.feas_tol
+                for row in np.flatnonzero(basis[i] >= d):
+                    t = Binv[i, row] @ N
+                    t[0] = Binv[i, row] @ own[i]
+                    cand = np.flatnonzero(np.abs(t) > opts.pivot_tol)
+                    if drop[i] or not cand.size:
+                        drop[i] = True
+                        break
+                    one = slice(i, i + 1)
+                    _pivot(Binv[one], xB[one], entering(cand[:1], own[one], Binv[one]), np.array([row]))
+                    basis[i, row] = cand[0]
+                    iters[i] += 1
+                phase2[i] = True
+                cB[i] = basis[i] == 0
+                prev[i] = xB[i] @ cB[i]
+                stall[i] = 0
+        else:
+            col = entering(enter, own, Binv)
+            pos = col > opts.pivot_tol
+            ratio = np.full(col.shape, np.inf)
+            np.divide(xB, col, out=ratio, where=pos)
+            best = ratio.min(1, keepdims=True)
+            ties = ratio <= best + opts.pivot_tol * (1.0 + np.abs(best))
+            leave = np.where(ties, basis, d + r).argmin(1)
+            stuck = ~pos.any(1)  # unbounded, or only pivots below pivot_tol
+            col[stuck] = 1.0  # a harmless pivot for programs about to drop
+            _pivot(Binv, xB, col, leave)
+            basis[k, leave] = enter
+            cB[k, leave] = phase2 & (enter == 0)
+            iters += 1
+            # Stalls count from the best objective yet, so that drift in
+            # the updated levels cannot pass for progress.
+            obj = (cB * xB).sum(1)
+            improved = obj < prev - 1e-12 * (1.0 + np.abs(prev))
+            stall = np.where(improved, 0, stall + 1)
+            prev = np.where(improved, obj, prev)
+            drop = stuck | (stall >= opts.stall_threshold) | (iters > opts.max_iterations)
+
+        if drop.any():
+            keep = ~drop
+            live, own, Binv, xB, basis, cB = live[keep], own[keep], Binv[keep], xB[keep], basis[keep], cB[keep]
+            phase2, prev, stall, iters = phase2[keep], prev[keep], stall[keep], iters[keep]
+
+    x = np.zeros((L, r))
+    y = np.zeros((L, r))
+    opt = np.flatnonzero(ok)
+    if opt.size:
+        mine = out_basis[opt] == 0
+        B = NT[out_basis[opt]]  # (program, position, row)
+        B[mine] = theta[opt[mine.nonzero()[0]]]
+        B = B.transpose(0, 2, 1)
+        try:
+            x[opt] = np.linalg.solve(B, rhs[opt][..., None])[..., 0]
+            y[opt] = np.linalg.solve(B.transpose(0, 2, 1), mine[..., None].astype(float))[..., 0]
+        except np.linalg.LinAlgError:
+            ok[:] = False
+            return ok, out_basis, x, y
+        # Certify the refactored optima: x_B >= 0 and no reduced cost < 0.
+        yo = y[opt]
+        rc = yo @ negN
+        rc[:, 0] = 1.0 - (yo * theta[opt]).sum(1)
+        tol = opts.opt_tol * (1.0 + np.abs(yo) @ np.abs(N))
+        ok[opt] = (x[opt] >= -opts.feas_tol).all(1) & (rc >= -tol).all(1)
+    return ok, out_basis, x, y
+
+
+def _pivot(Binv: np.ndarray, xB: np.ndarray, col: np.ndarray, leave: np.ndarray):
+    """Pivot program l on row leave[l] with entering column col[l] (in
+    basis coordinates): a rank-1 update of Binv[l] and xB[l] in place."""
+    k = np.arange(leave.size)
+    piv = col[k, leave]
+    brow = Binv[k, leave] / piv[:, None]
+    Binv -= col[:, :, None] * brow[:, None, :]
+    Binv[k, leave] = brow
+    xr = xB[k, leave] / piv
+    xB -= col * xr[:, None]
+    xB[k, leave] = xr

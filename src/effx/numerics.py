@@ -1,4 +1,4 @@
-"""Shared numerical kernels: Gaussian densities, SPD solves, derivatives, chi-square tails.
+"""Shared numerical kernels: Gaussian densities, SPD solves, chi-square tails.
 
 Dense matrices and vectors are plain ``numpy.ndarray`` objects throughout.
 Only numpy and the standard library are used: the Gaussian tails come from
@@ -8,7 +8,6 @@ one piecewise-polynomial kernel for the scaled complementary error function.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PD_TOL",
     "chi_square_sf",
-    "fd_gradient",
     "log_normal_cdf",
     "log_normal_cdf_and_mills",
     "log_normal_pdf",
@@ -162,21 +160,6 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if float(np.min(np.diag(L)) ** 2) <= diag_floor:
         raise NotPositiveDefinite("pivot at or below pd_tol")
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of k reals."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        hi = float(f(x + step))
-        lo = float(f(x - step))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteEvaluation(f"non-finite evaluation near coordinate {i}")
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
 
 
 def chi_square_sf(x: float, df: int) -> float:

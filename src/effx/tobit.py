@@ -260,8 +260,13 @@ def score_and_hessian(
     (beta, log sigma)."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    beta = np.asarray(beta, dtype=float)
-    _, s_b, s_t, w_bb, w_bt, w_tt = _terms(s, beta, sigma)
+    return _score_and_hessian(s, _terms(s, np.asarray(beta, dtype=float), sigma))
+
+
+def _score_and_hessian(s: CensoredSample, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian in (beta, log sigma) from the row terms of one
+    point (see _terms)."""
+    _, s_b, s_t, w_bb, w_bt, w_tt = terms
     X = s.X
     k = s.k
     grad = np.empty(k + 1)
@@ -283,11 +288,12 @@ def _row_scores(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray
     return np.hstack([s_b[:, None] * s.X, s_t[:, None]])
 
 
-def _safe_loglik(s: CensoredSample, beta: np.ndarray, sigma: float) -> float:
-    try:
-        return log_likelihood(s, beta, sigma)
-    except NonFinite:
-        return -np.inf
+def _safe_terms(s: CensoredSample, psi: np.ndarray):
+    """Log likelihood (-inf where not finite) and row terms at psi =
+    (beta, log sigma)."""
+    terms = _terms(s, psi[:-1], float(np.exp(psi[-1])))
+    total = float(terms[0].sum())
+    return (total if np.isfinite(total) else -np.inf), terms
 
 
 def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
@@ -310,7 +316,10 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
     tau = np.log(max(sigma0, 1e-8))
     psi = np.append(beta, tau)
 
-    ll = _safe_loglik(s, psi[:k], float(np.exp(psi[k])))
+    # Each point's row terms give its log likelihood and then, once the
+    # point is accepted, the next step's score and Hessian; the Hessian of
+    # the last step is the one at the optimum.
+    ll, terms = _safe_terms(s, psi)
     if not np.isfinite(ll):
         raise NonFinite("log likelihood not finite at the starting point")
     path = [ll]
@@ -318,7 +327,8 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
     iterations = 0
 
     for iterations in range(1, opts.max_iterations + 1):
-        grad, hess = score_and_hessian(s, psi[:k], float(np.exp(psi[k])))
+        grad, hess = _score_and_hessian(s, terms)
+        del terms  # the line search holds one point's terms at a time
         gnorm = float(np.abs(grad).max())
         if gnorm < opts.gradient_tol and (rel_change is None or rel_change < opts.loglik_rel_tol):
             iterations -= 1
@@ -340,7 +350,7 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
         accepted = False
         while step > 1e-14:
             cand = psi + step * direction
-            ll_new = _safe_loglik(s, cand[:k], float(np.exp(cand[k])))
+            ll_new, terms = _safe_terms(s, cand)
             if ll_new >= ll + 1e-4 * step * slope - noise:
                 accepted = True
                 break
@@ -358,7 +368,6 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
 
     beta = psi[:k]
     sigma = float(np.exp(psi[k]))
-    _, hess = score_and_hessian(s, beta, sigma)
     cov_hessian = solve_spd(-hess, np.eye(k + 1))
     cov_hessian = 0.5 * (cov_hessian + cov_hessian.T)
 

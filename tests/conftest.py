@@ -29,3 +29,11 @@ def random_dataset(rng: np.random.Generator, n: int, m: int = 2, s: int = 2) -> 
         input_names=tuple(f"in{j}" for j in range(m)),
         output_names=tuple(f"out{j}" for j in range(s)),
     )
+
+
+def index_of(ds: Dataset, dmu_id: str) -> int:
+    """Position of the unit with id dmu_id in ds."""
+    for i, rec in enumerate(ds.dmus):
+        if rec.id == dmu_id:
+            return i
+    raise KeyError(dmu_id)

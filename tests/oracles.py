@@ -2,8 +2,8 @@
 
 None of these share code paths with the package: linear programs are
 solved by brute-force vertex enumeration or by HiGHS, tail probabilities by
-quadrature, and likelihoods by direct per-row evaluation in extended
-precision.
+quadrature, likelihoods by direct per-row evaluation in extended
+precision, and gradients by central differences.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 
 from effx.lp import EQ, GE, LE, LpProblem
+from effx.numerics import NonFiniteEvaluation
 
 
 def enumerate_vertices(problem: LpProblem, feas_tol: float = 1e-8) -> np.ndarray:
@@ -202,3 +203,18 @@ def tobit_loglik_reference(y, X, lower, upper, beta, sigma) -> float:
             z = (mpmath.mpf(float(yi)) - mean) / sigma
             total += mpmath.log(mpmath.npdf(z) / sigma)
     return float(total)
+
+
+def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of k reals."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        hi = float(f(x + step))
+        lo = float(f(x - step))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NonFiniteEvaluation(f"non-finite evaluation near coordinate {i}")
+        grad[i] = (hi - lo) / (2.0 * h)
+    return grad

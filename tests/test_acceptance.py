@@ -16,7 +16,6 @@ from effx.dataset import bundled_fixture, summarize
 from effx.dea import DeaOptions, Rts, build_envelopment_lp, efficiency
 from effx.dea import run_frontier
 from effx.lp import LpStatus, solve_lp
-from effx.numerics import fd_gradient
 from effx.tobit import (
     CensoredSample,
     fit,
@@ -26,7 +25,7 @@ from effx.tobit import (
     wald_test,
 )
 from conftest import random_dataset
-from oracles import degenerate_lp, random_bounded_lp, vertex_minimum
+from oracles import degenerate_lp, fd_gradient, random_bounded_lp, vertex_minimum
 
 # Golden per-unit scores and returns-to-scale classes for the bundled
 # dataset, rounded to two decimals (the toolkit's reference regression

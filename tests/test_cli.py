@@ -390,6 +390,13 @@ class TestPipelineCommand:
         assert first == second
 
 
+def run_fresh(program: str) -> subprocess.CompletedProcess:
+    """Run program in a fresh interpreter that imports effx from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestRuntimeImports:
     def test_commands_run_without_scipy(self, tmp_path):
         """dea, tobit and pipeline run in a fresh interpreter without loading scipy."""
@@ -408,10 +415,20 @@ class TestRuntimeImports:
             "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(codes, scipy)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
-        )
+        proc = run_fresh(program)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0] []"
+
+    def test_import_loads_only_numpy_and_the_stdlib(self):
+        """A cold ``import effx`` loads no top-level module but effx, numpy
+        and the standard library's."""
+        program = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import effx\n"
+            "top = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(top - {'effx', 'numpy'} - set(sys.stdlib_module_names)), 'effx' in top)\n"
+        )
+        proc = run_fresh(program)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] True"

@@ -15,6 +15,7 @@ from effx.dataset import (
     serialize_dataset,
     summarize,
 )
+from conftest import index_of
 
 MINIMAL = "id,name,in0,out0\na,unit a,1,1\n"
 
@@ -157,13 +158,13 @@ class TestFixture:
         assert sum(rec.group for rec in airports.dmus) == 6
 
     def test_milan_row(self, airports):
-        rec = airports.dmus[airports.index_of("LIN-MXP")]
+        rec = airports.dmus[index_of(airports, "LIN-MXP")]
         assert rec.name == "Milano-Linate-Malpensa"
         assert rec.inputs[0] == 2731.0
         assert rec.outputs[0] == 18.3179
 
     def test_grosseto_zero_goods(self, airports):
-        rec = airports.dmus[airports.index_of("GRS")]
+        rec = airports.dmus[index_of(airports, "GRS")]
         assert rec.outputs[airports.output_names.index("GOODS")] == 0.0
 
     def test_employees_summary(self, airports):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,10 @@ from effx.dea import (
     run_frontier,
     scale_efficiency,
 )
-from effx.dea import _rts_class, _snap
+from effx.dea import _evaluate_dmu, _rts_class
 from effx.lp import EQ, GE, LpOptions, LpStatus, check_solution, solve_lp
-from conftest import random_dataset
+from effx.report import frontier_table, render_table
+from conftest import index_of, random_dataset
 from oracles import lambda_sum_range_highs, vertex_minimum
 from test_acceptance import GOLDEN_SCORES, TOL
 
@@ -56,16 +59,31 @@ def lp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """(programs, lambda columns) of each effx.dea._lockstep call while the
+    test runs."""
+    calls = []
+    lockstep = effx.dea._lockstep
+
+    def counting(N, theta, rhs, slack, *args, **kwargs):
+        calls.append((rhs.shape[0], N.shape[1] - 1 - int((slack >= 0).sum())))
+        return lockstep(N, theta, rhs, slack, *args, **kwargs)
+
+    monkeypatch.setattr(effx.dea, "_lockstep", counting)
+    return calls
+
+
 class TestBuildLp:
     def test_crs_dimensions(self, airports):
-        j = airports.index_of("BGY")
+        j = index_of(airports, "BGY")
         p = build_envelopment_lp(airports, j, CRS)
         assert p.n_vars == 1 + 30
         assert p.n_rows == 8
         assert all(rel == GE for rel in p.relations)
 
     def test_vrs_adds_convexity(self, airports):
-        j = airports.index_of("BGY")
+        j = index_of(airports, "BGY")
         p = build_envelopment_lp(airports, j, VRS)
         assert p.n_rows == 9
         assert p.relations[-1] == EQ
@@ -73,7 +91,7 @@ class TestBuildLp:
         assert p.b[-1] == 1.0
 
     def test_row_structure(self, airports):
-        j = airports.index_of("AHO")
+        j = index_of(airports, "AHO")
         p = build_envelopment_lp(airports, j, CRS)
         X = airports.input_matrix
         # contraction rows: theta coefficient is the unit's own input
@@ -83,7 +101,7 @@ class TestBuildLp:
             assert p.b[i] == 0.0
 
     def test_column_subset(self, airports):
-        j = airports.index_of("AHO")
+        j = index_of(airports, "AHO")
         full = build_envelopment_lp(airports, j, VRS)
         same = build_envelopment_lp(airports, j, VRS, np.arange(airports.n))
         np.testing.assert_array_equal(same.A, full.A)
@@ -103,25 +121,25 @@ class TestBuildLp:
 
 class TestFixtureScores:
     def test_parma_crs(self, airports):
-        theta = efficiency(airports, airports.index_of("PMF"), CRS)
+        theta = efficiency(airports, index_of(airports, "PMF"), CRS)
         assert theta == pytest.approx(0.23, abs=0.005)
 
     def test_bolzano_crs(self, airports):
-        theta = efficiency(airports, airports.index_of("BZO"), CRS)
+        theta = efficiency(airports, index_of(airports, "BZO"), CRS)
         assert theta == pytest.approx(0.4988, abs=0.0005)
 
     def test_parma_vrs(self, airports):
-        theta = efficiency(airports, airports.index_of("PMF"), VRS)
+        theta = efficiency(airports, index_of(airports, "PMF"), VRS)
         assert theta == pytest.approx(0.48, abs=0.005)
 
     def test_bergamo_efficient(self, airports):
-        theta = efficiency(airports, airports.index_of("BGY"), CRS)
+        theta = efficiency(airports, index_of(airports, "BGY"), CRS)
         assert theta == pytest.approx(1.0, abs=1e-8)
 
 
 class TestScaleEfficiency:
     def test_alghero(self, airports):
-        j = airports.index_of("AHO")
+        j = index_of(airports, "AHO")
         ote = efficiency(airports, j, CRS)
         pte = efficiency(airports, j, VRS)
         assert pte == pytest.approx(0.7622, abs=0.001)
@@ -131,7 +149,7 @@ class TestScaleEfficiency:
         assert scale_efficiency(1.0, 1.0) == 1.0
 
     def test_bolzano_ratio(self, airports):
-        j = airports.index_of("BZO")
+        j = index_of(airports, "BZO")
         se = scale_efficiency(efficiency(airports, j, CRS), efficiency(airports, j, VRS))
         assert se == pytest.approx(0.4988, abs=0.001)
 
@@ -145,10 +163,10 @@ class TestScaleEfficiency:
 
 class TestRtsClassification:
     def test_milan_constant(self, airports):
-        assert classify_rts(airports, airports.index_of("LIN-MXP"), CRS) is RtsClass.CONSTANT
+        assert classify_rts(airports, index_of(airports, "LIN-MXP"), CRS) is RtsClass.CONSTANT
 
     def test_parma_increasing(self, airports):
-        assert classify_rts(airports, airports.index_of("PMF"), CRS) is RtsClass.INCREASING
+        assert classify_rts(airports, index_of(airports, "PMF"), CRS) is RtsClass.INCREASING
 
     def test_single_unit_constant(self):
         assert classify_rts(one_unit_dataset(), 0, CRS) is RtsClass.CONSTANT
@@ -213,15 +231,16 @@ class TestRtsRule:
         assert len(lp_calls) == 1
         assert (lp_calls[0].c == -1.0).all()  # max sum(lambda)
 
-    def test_fixture_solves_two_lps_per_unit(self, airports, lp_calls):
-        # only the CRS and VRS score programs run: no intensity-sum LP; one
-        # working-set solve is repeated after a unit prices out
+    def test_fixture_solves_two_lps_per_unit(self, airports, lp_calls, lockstep_calls):
+        # only the CRS and VRS score programs run, as one lockstep block of
+        # 30 programs over the 30 units each: no intensity-sum LP, no
+        # serial solve
         run_frontier(airports, DeaOptions())
-        assert all(p.c[0] == 1.0 and not p.c[1:].any() for p in lp_calls)
-        assert len(lp_calls) == 2 * airports.n + 1 == 61
+        assert lp_calls == []
+        assert lockstep_calls == [(airports.n, airports.n)] * 2
 
     def test_classify_rts_solves_two_lps(self, airports, lp_calls):
-        assert classify_rts(airports, airports.index_of("PMF"), CRS) is RtsClass.INCREASING
+        assert classify_rts(airports, index_of(airports, "PMF"), CRS) is RtsClass.INCREASING
         assert len(lp_calls) == 2
 
     @pytest.mark.filterwarnings("ignore:dataset has n")
@@ -265,12 +284,14 @@ class TestFrontierReport:
         r = rep.results[0]
         assert r.ote == 1.0 and r.pte == 1.0 and r.se == 1.0
         assert r.rts is RtsClass.CONSTANT
-        assert r.lambda_crs == pytest.approx([1.0])
+        assert r.peers.tolist() == [0]
+        assert r.peer_weights == pytest.approx([1.0])
 
     def test_se_consistency(self, airports):
         for r in run_frontier(airports, DeaOptions()).results:
             assert r.se == pytest.approx(r.ote / r.pte, rel=1e-12)
-            assert (r.lambda_crs >= -1e-9).all()
+            assert (r.peer_weights >= -1e-9).all()
+            assert r.peers.size == r.peer_weights.size <= airports.m + airports.s
             assert r.lambda_sum >= 0
 
     def test_warns_on_poor_discrimination(self):
@@ -292,29 +313,44 @@ def with_ties(ds, rng):
 
 class TestWorkingSet:
     """run_frontier solves each unit over a working set of known peers and
-    prices the rest with the duals; the scores equal full-column solves."""
+    prices the rest with the duals; for any block size the scores and
+    classes equal those of full-column solves."""
 
     @pytest.mark.filterwarnings("ignore:dataset has n")
     @settings(max_examples=30)
-    @given(seeds)
-    def test_matches_full_column_solves(self, seed):
+    @given(seeds, st.sampled_from([1, 2, 5, effx.dea._BLOCK]))
+    def test_matches_full_column_solves(self, seed, block):
         rng = np.random.default_rng(seed)
         ds = random_dataset(
             rng, n=int(rng.integers(2, 41)), m=int(rng.integers(1, 4)), s=int(rng.integers(1, 4))
         )
         ds = with_ties(ds, rng)
-        tol = DeaOptions().efficiency_tol
-        for j, r in enumerate(run_frontier(ds, DeaOptions()).results):
-            assert abs(r.ote - _snap(efficiency(ds, j, CRS), tol)) <= 1e-9, j
-            assert abs(r.pte - _snap(efficiency(ds, j, VRS), tol)) <= 1e-9, j
+        if ds.s > 1:
+            # a zero output starts its row on the surplus, not an artificial
+            dmus = list(ds.dmus)
+            for j in rng.choice(ds.n, size=3, replace=False):
+                outputs = list(dmus[j].outputs)
+                outputs[int(rng.integers(0, ds.s))] = 0.0
+                dmus[j] = DmuRecord(dmus[j].id, "", dmus[j].inputs, tuple(outputs))
+            ds = Dataset(tuple(dmus), ds.input_names, ds.output_names)
+        with mock.patch.object(effx.dea, "_BLOCK", block):
+            rep = run_frontier(ds, DeaOptions())
+        for j, r in enumerate(rep.results):
+            full = _evaluate_dmu(ds, j, DeaOptions())
+            assert abs(r.ote - full.ote) <= 1e-9, j
+            assert abs(r.pte - full.pte) <= 1e-9, j
+            assert r.rts is full.rts, j
 
-    def test_most_solves_use_a_subset(self, lp_calls):
+    def test_most_solves_use_a_subset(self, lp_calls, lockstep_calls):
         n = 300
         ds = random_dataset(np.random.default_rng(2), n, 4, 4)
         rep = run_frontier(ds, DeaOptions())
         envelopment = [p for p in lp_calls if p.c[0] == 1.0 and not p.c[1:].any()]
-        assert len(envelopment) >= 2 * n
-        assert sum(p.n_vars < n + 1 for p in envelopment) > 0.9 * len(envelopment)
+        # lambda columns of every score program, in lockstep or serial
+        sizes = [k for size, k in lockstep_calls for _ in range(size)]
+        sizes += [p.n_vars - 1 for p in envelopment]
+        assert len(sizes) >= 2 * n
+        assert sum(k < n for k in sizes) > 0.9 * len(sizes)
         full = scores_for(ds)
         want = np.where(np.abs(full - 1.0) <= DeaOptions().efficiency_tol, 1.0, full)
         got = np.array([[r.ote, r.pte] for r in rep.results])
@@ -343,6 +379,46 @@ class TestWorkingSet:
             for o in (CRS, VRS)
         )
         assert pivots == 714
+
+
+class TestLockstep:
+    """run_frontier scores blocks of units in lockstep and leaves to the
+    serial working-set solve only the programs _lockstep cannot finish."""
+
+    def test_peers_join_the_frame(self, lockstep_calls):
+        # the first blocks run again for the units their small frame
+        # prices out; as peers join the frame, later blocks seldom do
+        n = 300
+        ds = random_dataset(np.random.default_rng(2), n, 4, 4)
+        with mock.patch.object(effx.dea, "_BLOCK", 32):
+            run_frontier(ds, DeaOptions())
+        assert sum(size for size, _ in lockstep_calls) < 1.25 * 2 * n
+
+    def test_programs_left_to_solve_lp(self, monkeypatch, lp_calls):
+        n = 300
+        ds = random_dataset(np.random.default_rng(2), n, 4, 4)
+        want = run_frontier(ds, DeaOptions())
+        lp_calls.clear()
+        lockstep = effx.dea._lockstep
+        forced, left = [], []
+
+        def stalling(*args, **kwargs):
+            ok, basis, x, y = lockstep(*args, **kwargs)
+            forced.append(int(ok[::7].sum()))
+            ok[::7] = False  # as if every seventh program had stalled
+            left.append(int((~ok).sum()))
+            return ok, basis, x, y
+
+        monkeypatch.setattr(effx.dea, "_lockstep", stalling)
+        got = run_frontier(ds, DeaOptions())
+        # one serial working-set solve (one or more LPs) per program left
+        envelopment = [p for p in lp_calls if p.c[0] == 1.0 and not p.c[1:].any()]
+        solved = {(tuple(p.A[: ds.m, 0]), EQ in p.relations) for p in envelopment}
+        assert len(solved) == sum(left) >= sum(forced) > 2 * n // 7 - 10
+        assert render_table(frontier_table(got), "csv") == render_table(frontier_table(want), "csv")
+        for r, w in zip(got.results, want.results):
+            assert abs(r.ote - w.ote) <= 1e-9 and abs(r.pte - w.pte) <= 1e-9, r.dmu_id
+            assert r.rts is w.rts, r.dmu_id
 
 
 class TestSolverRegressions:

@@ -11,6 +11,7 @@ from effx.lp import (
     LpProblem,
     LpSolution,
     LpStatus,
+    _lockstep,
     solve_lp,
     check_solution,
 )
@@ -156,3 +157,60 @@ class TestOracleEquivalence:
         status, ref, _ = vertex_minimum(p)
         assert status == "optimal"
         assert abs(sol.objective_value - ref) <= 1e-8 * (1.0 + abs(ref))
+
+
+def lockstep_program(rng, r, d):
+    """Shared columns N (slack columns last: +1 on the first rows, -1 on
+    the rest but one, which has none), own columns and rhs for 4 programs."""
+    k = r - 1
+    N = np.zeros((r, d + k))
+    N[:, 1:d] = rng.uniform(0.0, 1.0, (r, d - 1)) * (rng.uniform(size=(r, d - 1)) < 0.8)
+    N[np.arange(k), d + np.arange(k)] = np.where(np.arange(k) < k // 2, 1.0, -1.0)
+    slack = np.r_[d + np.arange(k), -1]
+    theta = -rng.uniform(0.0, 1.0, (4, r)) * (np.arange(r) < k // 2)
+    rhs = rng.uniform(0.0, 1.0, (4, r)) * (np.arange(r) >= k // 2) * (rng.uniform(size=(4, r)) < 0.9)
+    return N, theta, rhs, slack
+
+
+def serial_program(N, own, rhs):
+    """The program _lockstep solves for one column `own` and one rhs, as an
+    LpProblem for solve_lp."""
+    A = N.copy()
+    A[:, 0] = own
+    c = np.zeros(A.shape[1])
+    c[0] = 1.0
+    return LpProblem(c=c, A=A, relations=(EQ,) * A.shape[0], b=rhs)
+
+
+class TestLockstep:
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**9))
+    def test_agrees_with_solve_lp(self, seed):
+        rng = np.random.default_rng(seed)
+        N, theta, rhs, slack = lockstep_program(rng, int(rng.integers(2, 6)), int(rng.integers(2, 9)))
+        ok, basis, x, _ = _lockstep(N, theta, rhs, slack)
+        for l in range(rhs.shape[0]):
+            sol = solve_lp(serial_program(N, theta[l], rhs[l]))
+            if ok[l]:
+                # a program _lockstep finishes is optimal, with solve_lp's value
+                assert sol.status is LpStatus.OPTIMAL
+                assert x[l, basis[l] == 0].sum() == pytest.approx(sol.objective_value, abs=1e-9)
+
+    def test_solves_most_feasible_programs(self):
+        rng = np.random.default_rng(3)
+        solved = optimal = 0
+        for _ in range(30):
+            N, theta, rhs, slack = lockstep_program(rng, 5, 8)
+            ok, _, _, _ = _lockstep(N, theta, rhs, slack)
+            for l in range(rhs.shape[0]):
+                sol = solve_lp(serial_program(N, theta[l], rhs[l]))
+                optimal += sol.status is LpStatus.OPTIMAL
+                solved += bool(ok[l])
+        assert solved > 0.9 * optimal > 0
+
+    def test_infeasible_program_is_not_ok(self):
+        # v1 = 1 and v1 + v2 = 0.5 have no solution with v >= 0
+        N = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        ok, _, _, _ = _lockstep(N, np.zeros((1, 2)), np.array([[1.0, 0.5]]), np.array([-1, -1]))
+        assert not ok[0]
+

@@ -12,7 +12,6 @@ from effx.numerics import (
     NotPositiveDefinite,
     _erfcx,
     chi_square_sf,
-    fd_gradient,
     log_normal_cdf,
     log_normal_cdf_and_mills,
     log_normal_pdf,
@@ -22,6 +21,7 @@ from effx.numerics import (
 )
 from oracles import (
     chi_square_sf_by_integration,
+    fd_gradient,
     log_normal_cdf_mp,
     normal_cdf_by_integration,
     normal_cdf_mp,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effx.tobit
-from effx.numerics import fd_gradient
 from effx.tobit import (
     CensorStatus,
     CensoredSample,
@@ -27,7 +26,7 @@ from effx.tobit import (
     score_and_hessian,
     wald_test,
 )
-from oracles import log_normal_cdf_mp, normal_cdf_mp, tobit_loglik_reference
+from oracles import fd_gradient, log_normal_cdf_mp, normal_cdf_mp, tobit_loglik_reference
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
