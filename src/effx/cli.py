@@ -33,7 +33,7 @@ from .dataset import (
 )
 from .dea import DeaOptions, DomainError, SolverFailure, run_frontier
 from .lp import LpError
-from .numerics import NonFiniteEvaluation, NotPositiveDefinite
+from .numerics import NotPositiveDefinite
 from .report import ReportTable, frontier_table, regression_table, render_table, summary_table
 from .tobit import (
     CensoredSample,
@@ -47,13 +47,12 @@ from .tobit import (
 
 __all__ = ["main", "run"]
 
-_DATA_ERRORS = (DataValidationError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
+_DATA_ERRORS = (DataValidationError, csv.Error, FileNotFoundError, IsADirectoryError, UnicodeDecodeError)
 _SOLVER_ERRORS = (
     LpError,
     SolverFailure,
     DomainError,
     NotPositiveDefinite,
-    NonFiniteEvaluation,
     NonFinite,
     NotIdentified,
     NoConvergence,
@@ -88,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pipe = sub.add_parser("pipeline", help="DEA then censored regression, joined by id")
     add_common(p_pipe, covariates=True)
-    p_pipe.add_argument("--rts", choices=("crs", "vrs", "both"), default="both")
     p_pipe.add_argument("--tol-efficiency", dest="efficiency_tol", type=float, default=1e-6)
 
     p_fix = sub.add_parser("fixture", help="emit the bundled dataset as CSV")
@@ -125,77 +123,100 @@ def _emit(cfg: argparse.Namespace, text: str):
         sys.stdout.write(text)
 
 
-def _read_keyed_csv(path: str) -> tuple[list[str], list[str], list[dict[str, str]]]:
-    """Read a CSV keyed by id; returns (ids, value columns, raw rows).
+def _read_keyed_csv(path: str) -> tuple[list[str], list[str], dict[str, tuple]]:
+    """Read a CSV keyed by id; returns (ids, value columns, raw cells by column).
 
     Lines starting with '#' are skipped, so the footnotes that ``effx dea``
-    writes below its table do not read as rows.
+    writes below its table do not read as rows. The rest reads as
+    ``csv.DictReader`` reads it: blank rows are skipped, a short row reads
+    None for its missing cells, the cells of a long row past the header are
+    dropped, and a repeated header name reads its last column.
     """
     text = Path(path).read_text("utf-8")
-    reader = csv.DictReader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
-    header = reader.fieldnames or []
+    reader = csv.reader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
+    header = next(reader, [])
     if "id" not in header:
         raise MissingColumn("id")
-    rows = list(reader)
-    ids = []
+    width = len(header)
+    rows = [row for row in reader if row]
+    if set(map(len, rows)) - {width}:
+        rows = [(row + [None] * width)[:width] for row in rows]
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    ids = [(rid or "").strip() for rid in cells["id"]]
     seen: set[str] = set()
-    for row in rows:
-        rid = (row["id"] or "").strip()
+    for rid in ids:
         if rid in seen:
             raise DuplicateId(rid)
         seen.add(rid)
-        ids.append(rid)
     value_cols = [h for h in header if h not in ("id", "name")]
-    return ids, value_cols, rows
+    return ids, value_cols, cells
 
 
-def _finite_cell(raw: str | None, row: int, col: str) -> float:
-    """A numeric cell; nan and inf are rejected like non-numbers."""
+_FLAG_COLUMNS = ("OWNERSHIP", "GROUP")
+
+
+def _check_cell(raw: str | None, row: int, col: str) -> None:
+    """Raise the data error a cell earns, if any. A cell must be a finite
+    number; SUSTAINABILITY must be an integer 0..7 and OWNERSHIP/GROUP a
+    0/1 flag."""
     try:
         v = float(raw)
     except (TypeError, ValueError):
         raise NonNumericCell(row, col, raw) from None
     if not math.isfinite(v):
         raise NonNumericCell(row, col, raw)
-    return v
+    if col == "SUSTAINABILITY" and (v != int(v) or not 0 <= v <= 7):
+        raise InvalidDataset(f"row {row}: SUSTAINABILITY must be an integer in 0..7, got {raw}")
+    if col in _FLAG_COLUMNS and v not in (0.0, 1.0):
+        raise InvalidDataset(f"row {row}: {col} must be a 0/1 flag, got {raw}")
 
 
-_FLAG_COLUMNS = ("OWNERSHIP", "GROUP")
+def _float_column(cells: tuple, col: str) -> np.ndarray | None:
+    """A whole column converted at once, or None if some cell breaks the
+    rules of ``_check_cell``. ``float`` parses each cell, as there."""
+    try:
+        v = np.array(list(map(float, cells)))
+    except (TypeError, ValueError):
+        return None
+    ok = np.isfinite(v)
+    if col == "SUSTAINABILITY":
+        ok &= (v == np.floor(v)) & (v >= 0) & (v <= 7)
+    elif col in _FLAG_COLUMNS:
+        ok &= (v == 0) | (v == 1)
+    return v if ok.all() else None
 
 
 def _read_covariates(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Covariate CSV: id plus numeric columns; SUSTAINABILITY must be an
-    integer 0..7 and ownership/group flags must be 0/1 when present."""
-    ids, cols, rows = _read_keyed_csv(path)
+    integer 0..7 and ownership/group flags must be 0/1 when present.
+
+    Columns are converted whole; if one fails, a scan of the cells row by
+    row raises the error of the first bad cell."""
+    ids, cols, cells = _read_keyed_csv(path)
     if not cols:
         raise MissingColumn("at least one covariate column")
-    data = np.empty((len(rows), len(cols)))
-    for i, row in enumerate(rows, start=1):
-        for j, col in enumerate(cols):
-            raw = row[col]
-            v = _finite_cell(raw, i, col)
-            if col == "SUSTAINABILITY" and (v != int(v) or not 0 <= v <= 7):
-                raise InvalidDataset(
-                    f"row {i}: SUSTAINABILITY must be an integer in 0..7, got {raw}"
-                )
-            if col in _FLAG_COLUMNS and v not in (0.0, 1.0):
-                raise InvalidDataset(f"row {i}: {col} must be a 0/1 flag, got {raw}")
-            data[i - 1, j] = v
-    return ids, cols, data
+    values = [_float_column(cells[col], col) for col in cols]
+    if any(v is None for v in values):
+        for i in range(len(ids)):
+            for col in cols:
+                _check_cell(cells[col][i], i + 1, col)
+    return ids, cols, np.column_stack(values)
 
 
 def _read_scores(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Score CSV: id plus 'ote' and/or 'pte' numeric columns."""
-    ids, cols, rows = _read_keyed_csv(path)
+    """Score CSV: id plus 'ote' and/or 'pte' numeric columns.
+
+    Columns are converted whole; if one fails, a scan of the cells column
+    by column raises the error of the first bad cell."""
+    ids, cols, cells = _read_keyed_csv(path)
     score_cols = [c for c in cols if c in ("ote", "pte")]
     if not score_cols:
         raise MissingColumn("ote or pte")
-    out: dict[str, np.ndarray] = {}
-    for col in score_cols:
-        vals = np.empty(len(rows))
-        for i, row in enumerate(rows, start=1):
-            vals[i - 1] = _finite_cell(row[col], i, col)
-        out[col] = vals
+    out = {col: _float_column(cells[col], col) for col in score_cols}
+    if any(v is None for v in out.values()):
+        for col in score_cols:
+            for i, raw in enumerate(cells[col], start=1):
+                _check_cell(raw, i, col)
     return ids, out
 
 
@@ -203,12 +224,11 @@ def _join_covariates(
     score_ids: list[str], cov_ids: list[str], cov: np.ndarray
 ) -> np.ndarray:
     index = {rid: i for i, rid in enumerate(cov_ids)}
-    rows = []
-    for rid in score_ids:
-        if rid not in index:
-            raise InvalidDataset(f"covariates file has no row for id {rid!r}")
-        rows.append(cov[index[rid]])
-    return np.asarray(rows)
+    try:
+        take = [index[rid] for rid in score_ids]
+    except KeyError as err:
+        raise InvalidDataset(f"covariates file has no row for id {err.args[0]!r}") from None
+    return cov[take]
 
 
 def _fit_reports(
@@ -254,6 +274,8 @@ def _cmd_tobit(cfg: argparse.Namespace) -> ReportTable | str:
     if not cfg.covariates_path:
         raise InvalidDataset("tobit needs --covariates PATH")
     score_ids, scores = _read_scores(cfg.input_path)
+    if not score_ids:
+        raise InvalidDataset("tobit needs at least one score row")
     cov_ids, names, cov = _read_covariates(cfg.covariates_path)
     design = _join_covariates(score_ids, cov_ids, cov)
     return regression_table(_fit_reports(scores, names, design, cfg.lower, cfg.upper))

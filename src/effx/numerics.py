@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "NonFiniteEvaluation",
     "NotPositiveDefinite",
     "PD_TOL",
     "chi_square_sf",
@@ -39,10 +38,6 @@ _SYM_TOL = 1e-10
 
 class NotPositiveDefinite(Exception):
     """Symmetric factorization met a pivot at or below the tolerance."""
-
-
-class NonFiniteEvaluation(Exception):
-    """A function evaluation returned NaN or infinity."""
 
 
 def normal_pdf(z):

@@ -3,18 +3,23 @@
 None of these share code paths with the package: linear programs are
 solved by brute-force vertex enumeration or by HiGHS, tail probabilities by
 quadrature, likelihoods by direct per-row evaluation in extended
-precision, and gradients by central differences.
+precision, gradients by central differences, and the CLI's covariate and
+score CSVs by ``csv.DictReader`` and one check per cell.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
+from effx.dataset import DuplicateId, InvalidDataset, MissingColumn, NonNumericCell
 from effx.lp import EQ, GE, LE, LpProblem
-from effx.numerics import NonFiniteEvaluation
 
 
 def enumerate_vertices(problem: LpProblem, feas_tol: float = 1e-8) -> np.ndarray:
@@ -205,6 +210,10 @@ def tobit_loglik_reference(y, X, lower, upper, beta, sigma) -> float:
     return float(total)
 
 
+class NonFiniteEvaluation(Exception):
+    """A function evaluation in ``fd_gradient`` returned NaN or infinity."""
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of k reals."""
     x = np.asarray(x, dtype=float)
@@ -218,3 +227,71 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
             raise NonFiniteEvaluation(f"non-finite evaluation near coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def _keyed_rows_by_cell(path) -> tuple[list[str], list[str], list[dict]]:
+    """(ids, value columns, DictReader rows) of a CSV keyed by id, skipping
+    lines that start with '#'; the first repeated id raises DuplicateId."""
+    text = Path(path).read_text("utf-8")
+    reader = csv.DictReader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
+    header = reader.fieldnames or []
+    if "id" not in header:
+        raise MissingColumn("id")
+    rows = list(reader)
+    ids = []
+    seen: set[str] = set()
+    for row in rows:
+        rid = (row["id"] or "").strip()
+        if rid in seen:
+            raise DuplicateId(rid)
+        seen.add(rid)
+        ids.append(rid)
+    return ids, [h for h in header if h not in ("id", "name")], rows
+
+
+def _finite_cell(raw, row: int, col: str) -> float:
+    try:
+        v = float(raw)
+    except (TypeError, ValueError):
+        raise NonNumericCell(row, col, raw) from None
+    if not math.isfinite(v):
+        raise NonNumericCell(row, col, raw)
+    return v
+
+
+def read_covariates_by_cell(path) -> tuple[list[str], list[str], np.ndarray]:
+    """The covariate reader of ``effx tobit``/``pipeline``, one cell at a
+    time in row-major order: finite numbers, SUSTAINABILITY an integer
+    0..7, OWNERSHIP and GROUP 0/1."""
+    ids, cols, rows = _keyed_rows_by_cell(path)
+    if not cols:
+        raise MissingColumn("at least one covariate column")
+    data = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows, start=1):
+        for j, col in enumerate(cols):
+            raw = row[col]
+            v = _finite_cell(raw, i, col)
+            if col == "SUSTAINABILITY" and (v != int(v) or not 0 <= v <= 7):
+                raise InvalidDataset(
+                    f"row {i}: SUSTAINABILITY must be an integer in 0..7, got {raw}"
+                )
+            if col in ("OWNERSHIP", "GROUP") and v not in (0.0, 1.0):
+                raise InvalidDataset(f"row {i}: {col} must be a 0/1 flag, got {raw}")
+            data[i - 1, j] = v
+    return ids, cols, data
+
+
+def read_scores_by_cell(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The score reader of ``effx tobit``, one cell at a time in
+    column-major order over the 'ote' and 'pte' columns."""
+    ids, cols, rows = _keyed_rows_by_cell(path)
+    score_cols = [c for c in cols if c in ("ote", "pte")]
+    if not score_cols:
+        raise MissingColumn("ote or pte")
+    out: dict[str, np.ndarray] = {}
+    for col in score_cols:
+        vals = np.empty(len(rows))
+        for i, row in enumerate(rows, start=1):
+            vals[i - 1] = _finite_cell(row[col], i, col)
+        out[col] = vals
+    return ids, out

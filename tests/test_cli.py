@@ -4,15 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import effx.cli
 from effx.cli import run
-from effx.dataset import bundled_fixture, serialize_dataset
+from effx.dataset import FIXTURE_INPUTS, FIXTURE_OUTPUTS, bundled_fixture, serialize_dataset
 from effx.dea import DeaOptions, run_frontier
 from effx.report import ReportTable, frontier_table, render_table, round_half_away
+from oracles import read_covariates_by_cell, read_scores_by_cell
 
 
 def invoke(argv):
@@ -150,6 +155,23 @@ class TestDeaCommand:
         table = frontier_table(run_frontier(ds, DeaOptions()), rts="both")
         _, out, _ = invoke(["dea", "--fixture", "--rts", "both"])
         assert out == render_table(table, "csv")
+
+    def test_phase_one_breakdown_exits_4(self, tmp_path):
+        """Data spanning eight decades ends phase 1 of one LP without an
+        optimum in floating point; that is a solver failure, not a crash."""
+        rng = np.random.default_rng(1)
+        X = 10 ** rng.uniform(0, 8, (60, 4))
+        Y = 10 ** rng.uniform(0, 8, (60, 4))
+        lines = [",".join(["id", "name", *FIXTURE_INPUTS, *FIXTURE_OUTPUTS, "GROUP"])]
+        for i in range(60):
+            lines.append(",".join([f"u{i}", f"u{i}", *map(repr, X[i].tolist()), *map(repr, Y[i].tolist()), "0"]))
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(lines) + "\n", "utf-8")
+        code, out, err = invoke(["dea", "--input", str(data)])
+        assert code == 4
+        assert out == ""
+        assert "SolverFailure" in err and "phase 1 terminated without an optimum" in err
+        assert "Traceback" not in err
 
     def test_rendered_scores_match_reference_at_two_decimals(self):
         from test_acceptance import GOLDEN_SCORES
@@ -306,6 +328,26 @@ class TestTobitCommand:
         assert code == 0, err
         assert "observations,30.000," in out
 
+    def test_no_score_rows_exits_3(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,ote\n\n# no rows\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA\nu0,0.3\n", "utf-8")
+        code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 3
+        assert out == ""
+        assert "InvalidDataset" in err and "Traceback" not in err
+
+    def test_oversized_field_exits_3(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,ote\nu0," + "9" * 200_000 + "\n", "utf-8")
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA\nu0,0.3\n", "utf-8")
+        code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert code == 3
+        assert out == ""
+        assert "field larger than field limit" in err and "Traceback" not in err
+
     def test_fit_failure_exits_4(self, tmp_path):
         # every score at the upper limit: scale not identified
         scores = tmp_path / "scores.csv"
@@ -381,6 +423,14 @@ class TestPipelineCommand:
         code, _, _ = invoke(argv)
         assert code == 2
 
+    def test_rts_flag_is_a_usage_error(self, tmp_path):
+        covs = tmp_path / "covs.csv"
+        write_covariates(covs, [rec.id for rec in bundled_fixture().dmus], seed=4)
+        code, out, err = invoke(["pipeline", "--fixture", "--covariates", str(covs), "--rts", "both"])
+        assert code == 2
+        assert out == ""
+        assert "--rts" in err
+
     def test_deterministic(self, tmp_path):
         ds = bundled_fixture()
         covs = tmp_path / "covs.csv"
@@ -388,6 +438,154 @@ class TestPipelineCommand:
         _, first, _ = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
         _, second, _ = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
         assert first == second
+
+
+# Cells that float() reads differently from a plain decimal, or rejects.
+ODD_CELLS = ["nan", "inf", "-inf", "infinity", "", "1_000", " 0.5 ", "\uff11", "7.5", "-1", "8", "2", "-0.0"]
+positions = st.integers(0, 40)
+mutations = st.one_of(
+    st.tuples(st.just("blank"), positions),
+    st.tuples(st.just("comment"), positions),
+    st.tuples(st.just("short"), positions, positions),
+    st.tuples(st.just("extra"), positions, st.integers(1, 3)),
+    st.tuples(st.just("repeat_header"), positions, positions),
+    st.tuples(st.just("repeat_id"), positions, positions),
+    st.tuples(st.just("bom")),
+    st.tuples(st.just("cell"), positions, positions, st.sampled_from(ODD_CELLS)),
+)
+
+
+def mutated_csv(header: list[str], rows: list[list[str]], muts) -> str:
+    """CSV text of header + rows after the mutations; positions wrap."""
+    header, rows = list(header), [list(r) for r in rows]
+    width = len(header)
+    line_edits, bom = [], False
+    for kind, *args in muts:
+        if kind == "short":
+            row = rows[args[0] % len(rows)]
+            del row[args[1] % width :]
+        elif kind == "extra":
+            rows[args[0] % len(rows)].extend(["9"] * args[1])
+        elif kind == "repeat_header":
+            header[1 + args[1] % (width - 1)] = header[args[0] % width]
+        elif kind == "repeat_id":
+            src, dst = rows[args[0] % len(rows)], rows[args[1] % len(rows)]
+            if src and dst:  # a row cut to nothing has no id to copy
+                dst[0] = src[0]
+        elif kind == "cell":
+            row = rows[args[0] % len(rows)]
+            if len(row) > 1:
+                row[1 + args[1] % (len(row) - 1)] = args[2]
+        elif kind == "bom":
+            bom = True
+        else:
+            line_edits.append((kind, args[0]))
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for kind, pos in line_edits:
+        lines.insert(1 + pos % len(lines), "" if kind == "blank" else "# note")
+    return ("\ufeff" if bom else "") + "\n".join(lines) + "\n"
+
+
+def bits(x):
+    """x with every array replaced by its dtype, shape and bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return [(k, bits(v)) for k, v in x.items()]
+    return x
+
+
+def outcome(reader, path):
+    """A reader's result down to the bits, or the type and message of
+    what it raised."""
+    try:
+        return "ok", [bits(part) for part in reader(path)]
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return "error", type(err).__name__, str(err)
+
+
+class TestColumnwiseIngest:
+    """The CLI readers convert whole columns and fall back to a per-cell
+    scan only to name the first bad cell; they must agree with per-cell
+    readers everywhere, down to the bits and the error messages."""
+
+    COV_HEADER = ["id", "SUSTAINABILITY", "EBITDA", "LCC", "OWNERSHIP", "GROUP"]
+    SCORE_HEADER = ["id", "ote", "pte"]
+
+    @staticmethod
+    def base_rows(n: int = 12):
+        rng = np.random.default_rng(7)
+        ids = [f"u{i}" for i in range(n)]
+        covs = [
+            [rid, str(rng.integers(0, 8)), f"{rng.uniform(-0.5, 0.6):.4f}", f"{rng.uniform(0, 1):.4f}",
+             str(rng.integers(0, 2)), str(rng.integers(0, 2))]
+            for rid in ids
+        ]
+        scores = []
+        for rid in ids:
+            ote = rng.uniform(0.2, 1.0)
+            scores.append([rid, repr(ote), repr(min(1.0, ote + rng.uniform(0.0, 0.3)))])
+        return covs, scores
+
+    @settings(max_examples=150)
+    @given(st.lists(mutations, max_size=4), st.lists(mutations, max_size=4))
+    def test_matches_per_cell_readers(self, cov_muts, score_muts):
+        cov_rows, score_rows = self.base_rows()
+        with tempfile.TemporaryDirectory() as tmp:
+            covs, scores = Path(tmp, "covs.csv"), Path(tmp, "scores.csv")
+            covs.write_text(mutated_csv(self.COV_HEADER, cov_rows, cov_muts), "utf-8")
+            scores.write_text(mutated_csv(self.SCORE_HEADER, score_rows, score_muts), "utf-8")
+
+            cov_want = outcome(read_covariates_by_cell, covs)
+            assert outcome(effx.cli._read_covariates, covs) == cov_want
+            score_want = outcome(read_scores_by_cell, scores)
+            assert outcome(effx.cli._read_scores, scores) == score_want
+            code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        # Scores are read before covariates, and a reader error is a data
+        # error. Past the readers, a mutation can still leave an id without
+        # covariates (3) or make the design singular, e.g. by a repeated
+        # header name (4).
+        first_error = next((w for w in (score_want, cov_want) if w[0] == "error"), None)
+        if first_error:
+            assert code == 3 and out == ""
+            assert err == f"effx: {first_error[1]}: {first_error[2]}\n"
+        else:
+            assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+
+    def test_every_odd_cell_in_every_column(self, tmp_path):
+        cov_rows, score_rows = self.base_rows(3)
+        path = tmp_path / "data.csv"
+        for header, rows, new, old in [
+            (self.COV_HEADER, cov_rows, effx.cli._read_covariates, read_covariates_by_cell),
+            (self.SCORE_HEADER, score_rows, effx.cli._read_scores, read_scores_by_cell),
+        ]:
+            for j in range(1, len(header)):
+                for cell in ODD_CELLS:
+                    path.write_text(mutated_csv(header, rows, [("cell", 1, j - 1, cell)]), "utf-8")
+                    assert outcome(new, path) == outcome(old, path), (header[j], cell)
+
+    def test_odd_cells_parse_like_float(self, tmp_path):
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA,GROUP\nu0,1_000,-0.0\nu1, 0.5 ,\uff11\n", "utf-8")
+        ids, names, data = effx.cli._read_covariates(str(covs))
+        assert ids == ["u0", "u1"] and names == ["EBITDA", "GROUP"]
+        assert data.tolist() == [[1000.0, 0.0], [0.5, 1.0]]
+        assert np.signbit(data[0, 1])
+
+    def test_extra_cells_are_dropped_and_repeated_names_read_the_last_column(self, tmp_path):
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA,EBITDA\nu0,1,2,3\nu1,4,5\n", "utf-8")
+        ids, names, data = effx.cli._read_covariates(str(covs))
+        assert names == ["EBITDA", "EBITDA"]
+        assert data.tolist() == [[2.0, 2.0], [5.0, 5.0]]
+
+    def test_first_bad_cell_is_named_row_major(self, tmp_path):
+        covs = tmp_path / "covs.csv"
+        covs.write_text("id,EBITDA,SUSTAINABILITY\nu0,1,0\nu1,2,8\nu2,x,1\n", "utf-8")
+        code, _, err = invoke(["pipeline", "--fixture", "--covariates", str(covs)])
+        assert code == 3
+        assert err == "effx: InvalidDataset: row 2: SUSTAINABILITY must be an integer in 0..7, got 8\n"
 
 
 def run_fresh(program: str) -> subprocess.CompletedProcess:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from effx.numerics import (
     _BLOCK,
-    NonFiniteEvaluation,
     NotPositiveDefinite,
     _erfcx,
     chi_square_sf,
@@ -20,6 +19,7 @@ from effx.numerics import (
     solve_spd,
 )
 from oracles import (
+    NonFiniteEvaluation,
     chi_square_sf_by_integration,
     fd_gradient,
     log_normal_cdf_mp,
