@@ -26,6 +26,7 @@ from .dataset import (
     InvalidDataset,
     MissingColumn,
     NonNumericCell,
+    _cells_by_column,
     bundled_fixture,
     parse_dataset,
     serialize_dataset,
@@ -128,20 +129,18 @@ def _read_keyed_csv(path: str) -> tuple[list[str], list[str], dict[str, tuple]]:
 
     Lines starting with '#' are skipped, so the footnotes that ``effx dea``
     writes below its table do not read as rows. The rest reads as
-    ``csv.DictReader`` reads it: blank rows are skipped, a short row reads
-    None for its missing cells, the cells of a long row past the header are
-    dropped, and a repeated header name reads its last column.
+    ``csv.DictReader`` reads it (see dataset._cells_by_column), except that
+    a header that names a column twice is a data error.
     """
     text = Path(path).read_text("utf-8")
     reader = csv.reader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
     header = next(reader, [])
     if "id" not in header:
         raise MissingColumn("id")
-    width = len(header)
-    rows = [row for row in reader if row]
-    if set(map(len, rows)) - {width}:
-        rows = [(row + [None] * width)[:width] for row in rows]
-    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    if len(set(header)) < len(header):
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise InvalidDataset(f"column {repeated!r} appears more than once in the header")
+    cells = _cells_by_column(header, reader)
     ids = [(rid or "").strip() for rid in cells["id"]]
     seen: set[str] = set()
     for rid in ids:

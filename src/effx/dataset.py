@@ -101,6 +101,23 @@ class Dataset:
             raise InvalidDataset("a dataset needs at least one unit (n >= 1)")
         if len(self.input_names) < 1 or len(self.output_names) < 1:
             raise InvalidDataset("at least one input and one output column required")
+        # Checked a column at a time; only a dataset that fails is scanned
+        # unit by unit, to raise the error of the first bad unit.
+        X = Y = None
+        shapes = {(len(rec.inputs), len(rec.outputs)) for rec in self.dmus}
+        if len({rec.id for rec in self.dmus}) == self.n and shapes == {(self.m, self.s)}:
+            X = np.array([rec.inputs for rec in self.dmus])
+            Y = np.array([rec.outputs for rec in self.dmus])
+        numeric = X is not None and X.dtype.kind in "biuf" and Y.dtype.kind in "biuf"
+        if not (numeric and np.isfinite(X).all() and (X > 0).all() and np.isfinite(Y).all() and (Y >= 0).all()):
+            self._raise_first_error()
+        if numeric:
+            for name, matrix in (("input_matrix", X), ("output_matrix", Y)):
+                matrix = matrix.astype(float)
+                matrix.setflags(write=False)
+                object.__setattr__(self, name, matrix)
+
+    def _raise_first_error(self):
         seen: set[str] = set()
         for rec in self.dmus:
             if rec.id in seen:
@@ -174,45 +191,69 @@ def parse_dataset(
 
     The header must contain an ``id`` column plus every schema column;
     ``name`` and ``GROUP`` columns are optional. Column order follows the
-    schema arguments, not the file.
+    schema arguments, not the file. Rows read as ``csv.DictReader`` reads
+    them (see _cells_by_column).
+
+    Whole columns are converted at once; if that fails, a scan of the rows
+    in order raises the error of the first bad cell.
     """
     input_names = tuple(input_names)
     output_names = tuple(output_names)
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     for required in ("id", *input_names, *output_names):
         if required not in header:
             raise MissingColumn(required)
-    has_name = "name" in header
-    has_group = "GROUP" in header
+    cells = _cells_by_column(header, reader)
+    ids = [(rid or "").strip() for rid in cells["id"]]
+    try:
+        inputs = [list(map(float, cells[col])) for col in input_names]
+        outputs = [list(map(float, cells[col])) for col in output_names]
+        group = [v != 0.0 for v in map(float, cells["GROUP"])] if "GROUP" in cells else [False] * len(ids)
+        valid = len(set(ids)) == len(ids) and (np.array(inputs) > 0.0).all()
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        _raise_first_bad_cell(ids, cells, input_names, output_names)
+    names = cells["name"] if "name" in cells else ids
+    records = tuple(
+        DmuRecord(id=dmu_id, name=name, inputs=x, outputs=y, group=g)
+        for dmu_id, name, x, y, g in zip(ids, names, zip(*inputs), zip(*outputs), group)
+    )
+    return Dataset(dmus=records, input_names=input_names, output_names=output_names)
 
-    records: list[DmuRecord] = []
-    ids: set[str] = set()
-    for row_no, row in enumerate(reader, start=1):
-        dmu_id = (row["id"] or "").strip()
-        if dmu_id in ids:
+
+def _cells_by_column(header: list[str], rows) -> dict[str, tuple]:
+    """The cells of csv rows by header name, as ``csv.DictReader`` reads
+    them: blank rows are skipped, a short row reads None for its missing
+    cells, the cells of a long row past the header are dropped, and a
+    repeated header name reads its last column."""
+    width = len(header)
+    rows = [row for row in rows if row]
+    if set(map(len, rows)) - {width}:
+        rows = [(row + [None] * width)[:width] for row in rows]
+    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+
+
+def _raise_first_bad_cell(
+    ids: list[str], cells: dict[str, tuple], input_names: tuple[str, ...], output_names: tuple[str, ...]
+):
+    """Scan the rows in order and raise the first row's first error: a
+    repeated id, then its inputs, outputs and GROUP cell in turn."""
+    seen: set[str] = set()
+    for i, dmu_id in enumerate(ids):
+        row_no = i + 1
+        if dmu_id in seen:
             raise DuplicateId(dmu_id)
-        ids.add(dmu_id)
-        inputs = []
+        seen.add(dmu_id)
         for col in input_names:
-            v = _parse_number(row[col], row_no, col)
+            v = _parse_number(cells[col][i], row_no, col)
             if not v > 0.0:
                 raise NonPositiveInput(row_no, col, v)
-            inputs.append(v)
-        outputs = [_parse_number(row[col], row_no, col) for col in output_names]
-        group = False
-        if has_group:
-            group = _parse_number(row["GROUP"], row_no, "GROUP") != 0.0
-        records.append(
-            DmuRecord(
-                id=dmu_id,
-                name=row["name"] if has_name else dmu_id,
-                inputs=tuple(inputs),
-                outputs=tuple(outputs),
-                group=group,
-            )
-        )
-    return Dataset(dmus=tuple(records), input_names=input_names, output_names=output_names)
+        for col in output_names:
+            _parse_number(cells[col][i], row_no, col)
+        if "GROUP" in cells:
+            _parse_number(cells["GROUP"][i], row_no, "GROUP")
 
 
 def serialize_dataset(ds: Dataset) -> str:

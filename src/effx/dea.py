@@ -32,6 +32,18 @@ full program, so by LP duality the restricted optimum is the full one;
 otherwise the units that price out join the LP and it is solved again.
 The peers of the final solve join the frame.
 
+A unit k scored earlier need not be priced. Its peers l joined the frame,
+so they are columns of every later LP, and theta_k x_k >= sum lambda_l x_l
+with theta_k <= 1 and y_k <= sum lambda_l y_l. As y_in, y_out >= 0 above,
+that gives rc_k >= sum lambda_l rc_l (under VRS sum lambda_l = 1 carries
+the convexity dual along), so k cannot price out while its peers do not.
+With tolerances the bound is rc_k >= -sum lambda_l tol_l instead of
+rc_k >= -tol_k, looser when sum lambda > 1 under CRS. Each tol is
+opt_tol = 1e-9 relative to the column's weight in the duals, and a dual
+shortfall d on column k can lower theta by at most d times lambda_k of
+the full optimum, so the scores still agree with full-column solves far
+inside efficiency_tol (tests/test_dea.py holds them to 1e-9).
+
 The units are scored in blocks of _BLOCK. Only the theta column and the
 right-hand side differ between the programs of one returns assumption,
 so their rows are equilibrated once per dataset and a block's programs
@@ -39,7 +51,11 @@ share every lambda column: the frame plus the block's own units.
 lp._lockstep solves them together, one revised-simplex pivot per program
 per pass. The units of the block that price out run again over those
 columns plus the ones that priced them out, until none does; the peers
-join the frame after each pass over the block. A program the lockstep
+join the frame after each pass over the block. No program starts cold
+when it can help it. A first solve starts at its best single frame peer
+(see _Frame._one_peer), a feasible vertex that skips phase 1. A re-solve
+starts at its own certified optimum, which the added columns leave
+primal feasible (restricted basis entry again). A program the lockstep
 cannot finish (a stall, a pivot below tolerance, a basis that will not
 refactor) is scored on its own by solve_lp over frame + {j} as above; a
 serial solve whose basis cannot be refactored has no duals and is
@@ -259,24 +275,31 @@ class _Frame:
         """Score the units of block in lockstep (see lp._lockstep) over the
         frame plus the block, then again over those columns plus the units
         that priced out, for the units that had any, until none has. None
-        marks a unit that _lockstep left to solve_lp: solve settles it."""
+        marks a unit that _lockstep left to solve_lp: solve settles it.
+
+        A first solve starts from its best one-peer vertex where a frame
+        peer covers the unit (see _one_peer), a re-solve from its own
+        optimum, which the added columns leave feasible. Only the units of
+        later blocks are priced (see the module docstring)."""
         rows, k = self.slacks.shape
         out: list[_Solve | None] = [None] * len(block)
         units = np.arange(block.start, block.stop)
         cols = self.mask.copy()
         cols[units] = True
+        idx = np.flatnonzero(cols)
+        start = self._one_peer(units, idx)
+        price, price_abs = self.price[block.stop :], self.price_abs[block.stop :]
         while units.size:
-            idx = np.flatnonzero(cols)
             N = np.hstack([np.zeros((rows, 1)), self.lp_cols[idx].T, self.slacks])
             slack = np.where(np.arange(rows) < k, 1 + idx.size + np.arange(rows), -1)
             own = self.lp_cols[units]
             theta = np.where(self.is_input, -own, 0.0)
             rhs = np.where(self.is_input, 0.0, own)
 
-            ok, basis, x, y = _lockstep(N, theta, rhs, slack)
+            ok, basis, x, y = _lockstep(N, theta, rhs, slack, start)
             duals = y * self.row_dual
-            tol = LpOptions.opt_tol * (1.0 + self.price_abs @ np.abs(duals).T)
-            enter = (self.price @ duals.T < -tol) & ~cols[:, None]
+            tol = LpOptions.opt_tol * (1.0 + price_abs @ np.abs(duals).T)
+            enter = (price @ duals.T < -tol) & ~cols[block.stop :, None]
             priced = ok & enter.any(axis=0)
             done = ok & ~priced
             # Each optimum's lambda columns in ascending unit order, padded
@@ -292,9 +315,67 @@ class _Frame:
                 c = count[b]
                 out[units[b] - block.start] = _Solve(float(value[b]), peer[b, :c], lam[b, :c])
             self.mask[peer[done[:, None] & (lam > 0.0)]] = True
-            cols |= self.mask | enter[:, priced].any(axis=1)
+            cols |= self.mask
+            cols[block.stop :] |= enter[:, priced].any(axis=1)
             units = units[priced]
+            # The priced-out optima, renumbered into the grown column set.
+            grown = np.flatnonzero(cols)
+            start = basis[priced]
+            lam_at, slack_at = (start >= 1) & (start <= idx.size), start > idx.size
+            start[lam_at] = 1 + np.searchsorted(grown, idx[start[lam_at] - 1])
+            start[slack_at] += grown.size - idx.size
+            idx = grown
         return out
+
+    def _one_peer(self, units: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Start basis of each unit's program over columns idx: the best
+        vertex with a single frame peer (the free disposal hull point;
+        Deprins, Simar and Tulkens 1984). Peer k covers unit j's outputs at
+        lambda_k = max_o y_oj / y_ok under CRS and at lambda_k = 1 if its
+        outputs dominate under VRS, and needs theta_k = lambda_k max_i
+        x_ik / x_ij. The basis is {theta, lambda_k} plus every slack but
+        those of the binding input and, under CRS, the binding output. A
+        frame unit is no start for itself: theta = 1 with every slack at
+        zero is a fully degenerate vertex, and programs started there
+        stall. A unit that no other frame peer covers gets no start (-1)."""
+        X, Y = self.ds.input_matrix, self.ds.output_matrix
+        frame = np.flatnonzero(self.mask[idx])
+        Xj, Yj, Xk, Yk = X[units], Y[units], X[idx[frame]], Y[idx[frame]]
+        vrs = self.opts.returns_to_scale is Rts.VRS
+        # (unit, peer) arrays built a column at a time: a single
+        # (unit, peer, column) array costs far more than the m + s passes.
+        xinv = 1.0 / Xj
+        ratio = xinv[:, :1] * Xk[:, 0]
+        for i in range(1, X.shape[1]):
+            np.maximum(ratio, xinv[:, i : i + 1] * Xk[:, i], out=ratio)
+        if vrs:
+            covers = Yk[:, 0] >= Yj[:, :1]
+            for o in range(1, Y.shape[1]):
+                covers &= Yk[:, o] >= Yj[:, o : o + 1]
+            theta = np.where(covers, ratio, np.inf)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                yinv = 1.0 / Yk
+                lam = Yj[:, :1] * yinv[:, 0]
+                for o in range(1, Y.shape[1]):
+                    np.fmax(lam, Yj[:, o : o + 1] * yinv[:, o], out=lam)  # 0/0 binds nothing
+                theta = lam * ratio
+            theta[np.isnan(theta)] = np.inf
+        theta[idx[frame] == units[:, None]] = np.inf
+        p = theta.argmin(axis=1)
+        b = np.arange(units.size)
+        rows, k = self.slacks.shape
+        start = np.empty((units.size, rows), dtype=int)
+        start[:, :k] = 1 + idx.size + np.arange(k)
+        start[b, (Xk[p] / Xj).argmax(axis=1)] = 0
+        if vrs:
+            start[:, k] = 1 + frame[p]
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                binding = np.where(Yk[p] > 0.0, Yj / Yk[p], -np.inf).argmax(axis=1)
+            start[b, self.ds.m + binding] = 1 + frame[p]
+        start[np.isinf(theta[b, p]), 0] = -1
+        return start
 
     def solve(self, j: int) -> _Solve:
         ds, opts = self.ds, self.opts

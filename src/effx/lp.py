@@ -10,9 +10,12 @@ from the first pivot.
 _lockstep is the batched counterpart that effx.dea scores blocks of units
 with: many programs that share all columns but one, solved together by a
 revised simplex with the same pricing and ratio test, one pivot per
-program per pass. It keeps no Bland's rule: a program that stalls, meets
-only tiny pivots or ends with a basis that is not certified optimal is
-reported back for solve_lp to settle.
+program per pass. A program may come with a start basis; one that is
+nonsingular and primal feasible skips phase 1. A program that finishes a
+phase idles through that pass while the others pivot. It keeps no
+Bland's rule: a program that stalls, meets only tiny pivots or ends with
+a basis that is singular or not certified optimal is reported back for
+solve_lp to settle, and the others of its call are not.
 """
 
 from __future__ import annotations
@@ -435,6 +438,7 @@ def _lockstep(
     theta: np.ndarray,
     rhs: np.ndarray,
     slack: np.ndarray,
+    start: np.ndarray | None = None,
     opts: LpOptions = LpOptions(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve L programs ``min v_0`` s.t. ``[theta_l | N[:, 1:]] v = rhs_l``,
@@ -444,22 +448,27 @@ def _lockstep(
     N (r x d) holds the equilibrated columns the programs share; column 0
     is a placeholder for each program's own column, row l of theta (L x r).
     rhs (L x r) is non-negative. Row i has the slack column slack[i] of N,
-    which is +-1 in row i and zero elsewhere, or none (-1). As in solve_lp,
-    a row starts on its slack where that is feasible and on an artificial
-    otherwise, pricing is Dantzig's over the columns of N, the ratio test
-    breaks ties by the smallest basic index, and artificials left basic
-    after phase 1 are pivoted out. Each pivot is a rank-1 update of the
-    program's basis inverse; the optimal bases are refactored for x_B and
-    the duals.
+    which is +-1 in row i and zero elsewhere, or none (-1).
+
+    start (L x r), if given, holds a start basis per program: the columns
+    of N basic in each row position, or -1 in position 0 for none. A start
+    whose basis matrix is nonsingular and whose x_B is >= -feas_tol begins
+    in phase 2. Every other program starts as in solve_lp: a row on its
+    slack where that is feasible and on an artificial otherwise. Pricing
+    is Dantzig's over the columns of N, the ratio test breaks ties by the
+    smallest basic index, and artificials left basic after phase 1 are
+    pivoted out. Each pivot is one rank-1 update of the program's
+    [B^-1 | x_B]. A program that ends a phase makes a no-op pivot in that
+    pass while the others go on. The optimal bases are refactored for x_B
+    and the duals.
 
     Returns (ok, basis, x_B, y), basis indexing N's columns (0 is the
     program's own). ok is False for a program that made stall_threshold
     pivots in a row without bettering its best objective or more than
     max_iterations pivots, met only pivots below pivot_tol, ended anything
-    but optimal, kept an artificial, or whose refactored basis is not
-    primal feasible within feas_tol and dual feasible within opt_tol;
-    solve_lp settles those. A set of optimal bases that cannot be
-    refactored leaves every program not ok.
+    but optimal, kept an artificial, or whose refactored basis is singular
+    or not primal feasible within feas_tol and dual feasible within
+    opt_tol; solve_lp settles those. x_B and y are zero where ok is False.
     """
     L, r = rhs.shape
     d = N.shape[1]
@@ -471,12 +480,24 @@ def _lockstep(
     sign[has] = N[rows[has], slack[has]]
     on_slack = has & ((sign > 0.0) | (rhs == 0.0))
     basis = np.where(on_slack, slack, d + rows)  # d + i: row i's artificial
-    Binv = np.zeros((L, r, r))
-    Binv[:, rows, rows] = np.where(on_slack, sign, 1.0)
-    xB = rhs * Binv[:, rows, rows]
-    cB = (basis >= d).astype(float)  # phase 1 costs the artificials
+    T = np.zeros((L, r, r + 1))  # [B^-1 | x_B] of each program
+    T[:, rows, rows] = np.where(on_slack, sign, 1.0)
+    T[:, :, r] = rhs * T[:, rows, rows]
     phase2 = np.zeros(L, dtype=bool)
-    prev = (cB * xB).sum(1)
+    if start is not None:
+        warm = np.flatnonzero(start[:, 0] >= 0)
+        B = _basis_matrices(NT, theta[warm], start[warm])
+        Binv = _solve_each(B, np.broadcast_to(np.eye(r), B.shape))
+        xB = (Binv @ rhs[warm][..., None])[..., 0]
+        good = (xB >= -opts.feas_tol).all(1)  # False for a singular start
+        warm = warm[good]
+        T[warm, :, :r] = Binv[good]
+        T[warm, :, r] = np.maximum(xB[good], 0.0)  # no negative level in a ratio test
+        basis[warm] = start[warm]
+        phase2[warm] = True
+    # Phase 1 costs the artificials, phase 2 the program's own column.
+    cB = np.where(phase2[:, None], basis == 0, basis >= d).astype(float)
+    prev = (cB * T[:, :, r]).sum(1)
     stall = np.zeros(L, dtype=int)
     iters = np.zeros(L, dtype=int)
     live = np.arange(L)  # the program of each row of the working arrays
@@ -491,17 +512,46 @@ def _lockstep(
     ok = np.zeros(L, dtype=bool)
     out_basis = np.zeros((L, r), dtype=int)
     while live.size:
+        Binv, xB = T[:, :, :r], T[:, :, r]
         y = (cB[:, None, :] @ Binv)[:, 0]
         rc = y @ negN
         rc[:, 0] = phase2 - (y * own).sum(1)
         enter = rc.argmin(1)
         k = np.arange(live.size)
         done = rc[k, enter] >= -opts.opt_tol
+        col = entering(enter, own, Binv)
+        pos = col > opts.pivot_tol
+        ratio = np.full(col.shape, np.inf)
+        np.divide(xB, col, out=ratio, where=pos)
+        best = ratio.min(1, keepdims=True)
+        ties = ratio <= best + opts.pivot_tol * (1.0 + np.abs(best))
+        leave = np.where(ties, basis, d + r).argmin(1)
+        stuck = ~pos.any(1) & ~done  # unbounded, or only pivots below pivot_tol
+        # A program that ends a phase, or is about to drop, pivots on the
+        # unit column: T is left as it was.
+        idle = done | stuck
+        leave[idle] = 0
+        col[idle] = 0.0
+        col[idle, 0] = 1.0
+        _pivot(T, col, leave)
+        run = k[~idle]
+        basis[run, leave[run]] = enter[run]
+        cB[run, leave[run]] = phase2[run] & (enter[run] == 0)
+        iters[run] += 1
+        # Stalls count from the best objective yet, so that drift in
+        # the updated levels cannot pass for progress.
+        obj = (cB * xB).sum(1)
+        improved = obj < prev - 1e-12 * (1.0 + np.abs(prev))
+        stall = np.where(improved, 0, stall + 1)
+        prev = np.where(improved, obj, prev)
+        drop = stuck | (stall >= opts.stall_threshold) | (iters > opts.max_iterations)
+
         if done.any():
             # Record the optima; start phase 2 where phase 1 ends feasible.
-            drop = done & phase2
-            ok[live[drop]] = True
-            out_basis[live[drop]] = basis[drop]
+            fin = done & phase2
+            ok[live[fin]] = True
+            out_basis[live[fin]] = basis[fin]
+            drop |= fin
             for i in np.flatnonzero(done & ~phase2):
                 drop[i] = prev[i] > opts.feas_tol
                 for row in np.flatnonzero(basis[i] >= d):
@@ -512,71 +562,67 @@ def _lockstep(
                         drop[i] = True
                         break
                     one = slice(i, i + 1)
-                    _pivot(Binv[one], xB[one], entering(cand[:1], own[one], Binv[one]), np.array([row]))
+                    _pivot(T[one], entering(cand[:1], own[one], Binv[one]), np.array([row]))
                     basis[i, row] = cand[0]
                     iters[i] += 1
                 phase2[i] = True
                 cB[i] = basis[i] == 0
                 prev[i] = xB[i] @ cB[i]
                 stall[i] = 0
-        else:
-            col = entering(enter, own, Binv)
-            pos = col > opts.pivot_tol
-            ratio = np.full(col.shape, np.inf)
-            np.divide(xB, col, out=ratio, where=pos)
-            best = ratio.min(1, keepdims=True)
-            ties = ratio <= best + opts.pivot_tol * (1.0 + np.abs(best))
-            leave = np.where(ties, basis, d + r).argmin(1)
-            stuck = ~pos.any(1)  # unbounded, or only pivots below pivot_tol
-            col[stuck] = 1.0  # a harmless pivot for programs about to drop
-            _pivot(Binv, xB, col, leave)
-            basis[k, leave] = enter
-            cB[k, leave] = phase2 & (enter == 0)
-            iters += 1
-            # Stalls count from the best objective yet, so that drift in
-            # the updated levels cannot pass for progress.
-            obj = (cB * xB).sum(1)
-            improved = obj < prev - 1e-12 * (1.0 + np.abs(prev))
-            stall = np.where(improved, 0, stall + 1)
-            prev = np.where(improved, obj, prev)
-            drop = stuck | (stall >= opts.stall_threshold) | (iters > opts.max_iterations)
 
         if drop.any():
             keep = ~drop
-            live, own, Binv, xB, basis, cB = live[keep], own[keep], Binv[keep], xB[keep], basis[keep], cB[keep]
+            live, own, T, basis, cB = live[keep], own[keep], T[keep], basis[keep], cB[keep]
             phase2, prev, stall, iters = phase2[keep], prev[keep], stall[keep], iters[keep]
 
     x = np.zeros((L, r))
     y = np.zeros((L, r))
     opt = np.flatnonzero(ok)
     if opt.size:
-        mine = out_basis[opt] == 0
-        B = NT[out_basis[opt]]  # (program, position, row)
-        B[mine] = theta[opt[mine.nonzero()[0]]]
-        B = B.transpose(0, 2, 1)
-        try:
-            x[opt] = np.linalg.solve(B, rhs[opt][..., None])[..., 0]
-            y[opt] = np.linalg.solve(B.transpose(0, 2, 1), mine[..., None].astype(float))[..., 0]
-        except np.linalg.LinAlgError:
-            ok[:] = False
-            return ok, out_basis, x, y
+        B = _basis_matrices(NT, theta[opt], out_basis[opt])
+        x[opt] = _solve_each(B, rhs[opt][..., None])[..., 0]
+        y[opt] = _solve_each(B.transpose(0, 2, 1), (out_basis[opt] == 0)[..., None].astype(float))[..., 0]
         # Certify the refactored optima: x_B >= 0 and no reduced cost < 0.
+        # A singular basis gives nan, which fails both.
         yo = y[opt]
         rc = yo @ negN
         rc[:, 0] = 1.0 - (yo * theta[opt]).sum(1)
         tol = opts.opt_tol * (1.0 + np.abs(yo) @ np.abs(N))
         ok[opt] = (x[opt] >= -opts.feas_tol).all(1) & (rc >= -tol).all(1)
+        x[~ok] = 0.0
+        y[~ok] = 0.0
     return ok, out_basis, x, y
 
 
-def _pivot(Binv: np.ndarray, xB: np.ndarray, col: np.ndarray, leave: np.ndarray):
+def _basis_matrices(NT: np.ndarray, theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The basis matrix of each program (program, row, position): the
+    columns of N that basis names, with the program's own column for 0."""
+    B = NT[basis]
+    mine = basis == 0
+    B[mine] = theta[mine.nonzero()[0]]
+    return B.transpose(0, 2, 1)
+
+
+def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack of systems, where a singular member
+    gives nan in its own solution instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        z = np.full(b.shape, np.nan)
+        for l in range(len(A)):
+            try:
+                z[l] = np.linalg.solve(A[l], b[l])
+            except np.linalg.LinAlgError:
+                pass
+        return z
+
+
+def _pivot(T: np.ndarray, col: np.ndarray, leave: np.ndarray):
     """Pivot program l on row leave[l] with entering column col[l] (in
-    basis coordinates): a rank-1 update of Binv[l] and xB[l] in place."""
+    basis coordinates): a rank-1 update of its [B^-1 | x_B], T[l], in
+    place."""
     k = np.arange(leave.size)
-    piv = col[k, leave]
-    brow = Binv[k, leave] / piv[:, None]
-    Binv -= col[:, :, None] * brow[:, None, :]
-    Binv[k, leave] = brow
-    xr = xB[k, leave] / piv
-    xB -= col * xr[:, None]
-    xB[k, leave] = xr
+    trow = T[k, leave] / col[k, leave][:, None]
+    T -= col[:, :, None] * trow[:, None, :]
+    T[k, leave] = trow

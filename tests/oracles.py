@@ -4,7 +4,8 @@ None of these share code paths with the package: linear programs are
 solved by brute-force vertex enumeration or by HiGHS, tail probabilities by
 quadrature, likelihoods by direct per-row evaluation in extended
 precision, gradients by central differences, and the CLI's covariate and
-score CSVs by ``csv.DictReader`` and one check per cell.
+score CSVs and the dataset CSV by ``csv.DictReader`` and one check per
+cell.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from effx.dataset import DuplicateId, InvalidDataset, MissingColumn, NonNumericCell
+from effx.dataset import (
+    Dataset,
+    DmuRecord,
+    DuplicateId,
+    InvalidDataset,
+    MissingColumn,
+    NonNumericCell,
+    NonPositiveInput,
+)
 from effx.lp import EQ, GE, LE, LpProblem
 
 
@@ -146,6 +155,30 @@ def lambda_sum_range_highs(X: np.ndarray, Y: np.ndarray, j: int) -> tuple[float,
     A_sum = np.vstack([X.T, -Y.T])
     b_sum = np.r_[theta * X[j] * (1.0 + 1e-8), -Y[j]]
     return solve(np.ones(n), A_sum, b_sum), -solve(-np.ones(n), A_sum, b_sum)
+
+
+def envelopment_theta_highs(X: np.ndarray, Y: np.ndarray, j: int, vrs: bool) -> tuple[float, float]:
+    """Unit j's input-oriented score over all units, solved by HiGHS dual
+    simplex and by HiGHS interior point, both at 1e-10 feasibility
+    tolerances. On data spanning many decades the two can disagree; a
+    caller trusts the score only where they agree."""
+    from scipy.optimize import linprog
+
+    n, m = X.shape
+    s = Y.shape[1]
+    A_ub = np.vstack(
+        [np.column_stack([-X[j][:, None], X.T]), np.column_stack([np.zeros((s, 1)), -Y.T])]
+    )
+    b_ub = np.r_[np.zeros(m), -Y[j]]
+    eq = dict(A_eq=np.r_[0.0, np.ones(n)][None], b_eq=[1.0]) if vrs else {}
+    tight = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+    out = []
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(np.r_[1.0, np.zeros(n)], A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method=method, options=tight, **eq)
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS: {res.message}")
+        out.append(float(res.fun))
+    return out[0], out[1]
 
 
 # -- quadrature oracles ----------------------------------------------------
@@ -295,3 +328,49 @@ def read_scores_by_cell(path) -> tuple[list[str], dict[str, np.ndarray]]:
             vals[i - 1] = _finite_cell(row[col], i, col)
         out[col] = vals
     return ids, out
+
+
+def parse_dataset_by_cell(text: str, input_names, output_names) -> Dataset:
+    """``effx.dataset.parse_dataset`` one cell at a time, row by row, with
+    the Dataset checks one unit at a time after it: the first bad cell or
+    unit raises."""
+    input_names, output_names = tuple(input_names), tuple(output_names)
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames or []
+    for required in ("id", *input_names, *output_names):
+        if required not in header:
+            raise MissingColumn(required)
+
+    def number(raw, row, col):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            raise NonNumericCell(row, col, raw) from None
+
+    records = []
+    ids: set[str] = set()
+    for row_no, row in enumerate(reader, start=1):
+        dmu_id = (row["id"] or "").strip()
+        if dmu_id in ids:
+            raise DuplicateId(dmu_id)
+        ids.add(dmu_id)
+        inputs = []
+        for col in input_names:
+            v = number(row[col], row_no, col)
+            if not v > 0.0:
+                raise NonPositiveInput(row_no, col, v)
+            inputs.append(v)
+        outputs = [number(row[col], row_no, col) for col in output_names]
+        group = number(row["GROUP"], row_no, "GROUP") != 0.0 if "GROUP" in header else False
+        name = row["name"] if "name" in header else dmu_id
+        records.append(DmuRecord(dmu_id, name, tuple(inputs), tuple(outputs), group))
+    if not records:
+        raise InvalidDataset("a dataset needs at least one unit (n >= 1)")
+    for rec in records:
+        for col, v in zip(input_names, rec.inputs):
+            if not math.isfinite(v) or v <= 0.0:
+                raise InvalidDataset(f"unit {rec.id!r}, input {col!r}: must be finite and > 0, got {v}")
+        for col, v in zip(output_names, rec.outputs):
+            if not math.isfinite(v) or v < 0.0:
+                raise InvalidDataset(f"unit {rec.id!r}, output {col!r}: must be finite and >= 0, got {v}")
+    return Dataset(tuple(records), input_names, output_names)

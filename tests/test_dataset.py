@@ -16,6 +16,8 @@ from effx.dataset import (
     summarize,
 )
 from conftest import index_of
+from oracles import parse_dataset_by_cell
+from test_cli import ODD_CELLS, mutated_csv, mutations
 
 MINIMAL = "id,name,in0,out0\na,unit a,1,1\n"
 
@@ -103,6 +105,47 @@ def datasets(draw):
         input_names=tuple(f"in{j}" for j in range(m)),
         output_names=tuple(f"out{j}" for j in range(s)),
     )
+
+
+class TestColumnwiseParse:
+    """parse_dataset converts whole columns and Dataset checks whole
+    arrays; a scan row by row only names the first bad cell. Both must
+    agree with the per-cell reader, down to the bits and the messages."""
+
+    HEADER = ["id", "name", "i0", "i1", "o0", "o1", "GROUP"]
+
+    @staticmethod
+    def outcome(text):
+        def run(parse):
+            try:
+                ds = parse(text, ("i0", "i1"), ("o0", "o1"))
+            except Exception as err:  # noqa: BLE001 - the error is the outcome
+                return "error", type(err).__name__, str(err)
+            return "ok", repr(ds), ds.input_matrix.tobytes(), ds.output_matrix.tobytes()
+
+        return run(parse_dataset), run(parse_dataset_by_cell)
+
+    @staticmethod
+    def base_rows(n: int = 12):
+        rng = np.random.default_rng(11)
+        return [
+            [f"u{i}", f"unit {i}", *map(repr, rng.uniform(0.5, 10.0, 2).tolist()),
+             *map(repr, rng.uniform(0.0, 10.0, 2).tolist()), str(rng.integers(0, 2))]
+            for i in range(n)
+        ]
+
+    @settings(max_examples=200)
+    @given(st.lists(mutations, max_size=5))
+    def test_matches_per_cell_reader(self, muts):
+        new, old = self.outcome(mutated_csv(self.HEADER, self.base_rows(), muts))
+        assert new == old
+
+    def test_every_odd_cell_in_every_column(self):
+        rows = self.base_rows(3)
+        for j in range(1, len(self.HEADER)):
+            for cell in ODD_CELLS:
+                new, old = self.outcome(mutated_csv(self.HEADER, rows, [("cell", 1, j - 1, cell)]))
+                assert new == old, (self.HEADER[j], cell)
 
 
 class TestRoundTrip:

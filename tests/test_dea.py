@@ -22,7 +22,7 @@ from effx.dea import _evaluate_dmu, _rts_class
 from effx.lp import EQ, GE, LpOptions, LpStatus, check_solution, solve_lp
 from effx.report import frontier_table, render_table
 from conftest import index_of, random_dataset
-from oracles import lambda_sum_range_highs, vertex_minimum
+from oracles import envelopment_theta_highs, lambda_sum_range_highs, vertex_minimum
 from test_acceptance import GOLDEN_SCORES, TOL
 
 CRS = DeaOptions(returns_to_scale=Rts.CRS)
@@ -420,6 +420,37 @@ class TestLockstep:
             assert abs(r.ote - w.ote) <= 1e-9 and abs(r.pte - w.pte) <= 1e-9, r.dmu_id
             assert r.rts is w.rts, r.dmu_id
 
+    def test_one_singular_basis_sends_only_its_program_to_solve_lp(self, airports, monkeypatch, lp_calls):
+        # Every lockstep basis matrix holding PMF's CRS theta column reads
+        # as singular. The lockstep refactors its block's optima one by one
+        # when the stacked solve fails, so only PMF's CRS program leaves it.
+        want = run_frontier(airports, DeaOptions())
+        lp_calls.clear()
+        j = index_of(airports, "PMF")
+        X = airports.input_matrix
+        m, r = airports.m, airports.m + airports.s
+        theta_j = -(X[j] / X.max(axis=0))  # its equilibrated input rows
+        solve = np.linalg.solve
+
+        def singular_for_j(a, b):
+            if a.shape[-1] == r:
+                mats = a.reshape(-1, r, r)
+                if (mats[:, :m] == theta_j[:, None]).all(axis=1).any() or (
+                    mats[:, :, :m] == theta_j
+                ).all(axis=2).any():
+                    raise np.linalg.LinAlgError("singular")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_for_j)
+        got = run_frontier(airports, DeaOptions())
+        # one serial working-set solve (one or more LPs), of PMF's CRS program
+        assert lp_calls
+        for p in lp_calls:
+            assert (p.A[:m, 0] == X[j]).all() and EQ not in p.relations
+        for res, w in zip(got.results, want.results):
+            assert abs(res.ote - w.ote) <= 1e-9 and abs(res.pte - w.pte) <= 1e-9, res.dmu_id
+            assert res.rts is w.rts, res.dmu_id
+
 
 class TestSolverRegressions:
     def test_uniform_draw_7_unit_997(self):
@@ -432,6 +463,25 @@ class TestSolverRegressions:
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
         assert check_solution(problem, sol)
         assert sol.iterations > LpOptions().max_iterations  # both attempts counted
+
+    def test_eight_decade_set_unit_u2(self):
+        # The set tests/test_cli.py pins (60 units, 4 x 4, 10^U(0, 8)). u2's
+        # cold-started serial solve ended phase 1 without an optimum; from
+        # its one-peer start the lockstep scores it, as HiGHS does.
+        rng = np.random.default_rng(1)
+        X = 10 ** rng.uniform(0, 8, (60, 4))
+        Y = 10 ** rng.uniform(0, 8, (60, 4))
+        ds = Dataset(
+            tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60)),
+            tuple(f"in{i}" for i in range(4)),
+            tuple(f"out{o}" for o in range(4)),
+        )
+        for rts in (Rts.CRS, Rts.VRS):
+            got = effx.dea._Frame(ds, DeaOptions(rts)).solve_block(range(ds.n))[2]
+            assert got is not None, rts
+            dual, ipm = envelopment_theta_highs(X, Y, 2, rts is Rts.VRS)
+            assert dual == pytest.approx(ipm, rel=1e-10)
+            assert got.theta == pytest.approx(dual, rel=1e-10), rts
 
 
 def scores_for(ds, opts_list=(CRS, VRS)):

@@ -214,3 +214,60 @@ class TestLockstep:
         ok, _, _, _ = _lockstep(N, np.zeros((1, 2)), np.array([[1.0, 0.5]]), np.array([-1, -1]))
         assert not ok[0]
 
+
+    def test_own_optimal_basis_makes_no_pivot(self):
+        # with max_iterations = 0 any pivot drops a program: only a start
+        # that is already optimal can finish, with the same basis and values
+        rng = np.random.default_rng(5)
+        N, theta, rhs, slack = lockstep_program(rng, 5, 8)
+        ok, basis, x, y = _lockstep(N, theta, rhs, slack)
+        assert ok.any()
+        no_pivots = LpOptions(max_iterations=0)
+        ok0, _, _, _ = _lockstep(N, theta, rhs, slack, opts=no_pivots)
+        assert not ok0.any()
+        start = np.where(ok[:, None], basis, -1)
+        warm_ok, warm_basis, warm_x, warm_y = _lockstep(N, theta, rhs, slack, start, no_pivots)
+        np.testing.assert_array_equal(warm_ok, ok)
+        np.testing.assert_array_equal(warm_basis[ok], basis[ok])
+        np.testing.assert_allclose(warm_x, x, atol=1e-12)
+        np.testing.assert_allclose(warm_y, y, atol=1e-12)
+
+    def test_infeasible_or_singular_start_starts_cold(self):
+        rng = np.random.default_rng(8)
+        N, theta, rhs, slack = lockstep_program(rng, 5, 8)
+        r, d = rhs.shape[1], N.shape[1]
+        cold = _lockstep(N, theta, rhs, slack)
+        # program 0 repeats a column (singular); program 1 gets a nonsingular
+        # basis with a negative level
+        start = np.full(rhs.shape, -1)
+        start[0] = 1
+        for _ in range(1000):
+            cand = np.sort(rng.choice(d, r, replace=False))
+            B = N[:, cand].copy()
+            B[:, cand == 0] = theta[1][:, None]
+            if abs(np.linalg.det(B)) > 1e-6 and (np.linalg.solve(B, rhs[1]) < -1e-3).any():
+                start[1] = cand
+                break
+        assert start[1, 0] >= 0
+        warm = _lockstep(N, theta, rhs, slack, start)
+        np.testing.assert_array_equal(warm[0], cold[0])
+        np.testing.assert_array_equal(warm[1], cold[1])
+        for got, want in zip(warm[2:], cold[2:]):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**9))
+    def test_warm_and_cold_agree_with_solve_lp(self, seed):
+        # start each program from the optimum of the same program with
+        # another rhs: feasible for some programs (warm), not for others
+        rng = np.random.default_rng(seed)
+        N, theta, rhs, slack = lockstep_program(rng, int(rng.integers(2, 6)), int(rng.integers(2, 9)))
+        other = rhs[rng.permutation(rhs.shape[0])] * rng.uniform(0.5, 2.0, rhs.shape)
+        ok_other, start, _, _ = _lockstep(N, theta, other, slack)
+        start[~ok_other, 0] = -1
+        ok, basis, x, _ = _lockstep(N, theta, rhs, slack, start)
+        for l in range(rhs.shape[0]):
+            sol = solve_lp(serial_program(N, theta[l], rhs[l]))
+            if ok[l]:
+                assert sol.status is LpStatus.OPTIMAL
+                assert x[l, basis[l] == 0].sum() == pytest.approx(sol.objective_value, abs=1e-9)
