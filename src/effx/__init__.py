@@ -17,7 +17,6 @@ from .dea import (
     Rts,
     RtsClass,
     build_envelopment_lp,
-    classify_rts,
     efficiency,
     run_frontier,
     scale_efficiency,
@@ -59,7 +58,6 @@ __all__ = [
     "build_envelopment_lp",
     "bundled_fixture",
     "check_solution",
-    "classify_rts",
     "efficiency",
     "fit",
     "inference_report",

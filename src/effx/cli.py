@@ -14,6 +14,7 @@ import io
 import math
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .dataset import (
     InvalidDataset,
     MissingColumn,
     NonNumericCell,
-    _cells_by_column,
+    _csv_columns,
     bundled_fixture,
     parse_dataset,
     serialize_dataset,
@@ -124,29 +125,33 @@ def _emit(cfg: argparse.Namespace, text: str):
         sys.stdout.write(text)
 
 
-def _read_keyed_csv(path: str) -> tuple[list[str], list[str], dict[str, tuple]]:
+def _read_keyed_csv(path: str) -> tuple[list[str], list[str], dict[str, Sequence[str | None]]]:
     """Read a CSV keyed by id; returns (ids, value columns, raw cells by column).
 
     Lines starting with '#' are skipped, so the footnotes that ``effx dea``
     writes below its table do not read as rows. The rest reads as
-    ``csv.DictReader`` reads it (see dataset._cells_by_column), except that
-    a header that names a column twice is a data error.
+    ``csv.DictReader`` reads it, split on ',' in one call when the file is
+    plain and by ``csv.reader`` otherwise (see dataset._csv_columns),
+    except that a header that names a column twice is a data error.
     """
     text = Path(path).read_text("utf-8")
-    reader = csv.reader(ln for ln in io.StringIO(text) if not ln.startswith("#"))
-    header = next(reader, [])
+    if text.startswith("#") or "\n#" in text:
+        text = "".join(ln for ln in io.StringIO(text) if not ln.startswith("#"))
+    header, cells, error = _csv_columns(text)
     if "id" not in header:
         raise MissingColumn("id")
     if len(set(header)) < len(header):
         repeated = next(h for i, h in enumerate(header) if h in header[:i])
         raise InvalidDataset(f"column {repeated!r} appears more than once in the header")
-    cells = _cells_by_column(header, reader)
+    if error:
+        raise error
     ids = [(rid or "").strip() for rid in cells["id"]]
-    seen: set[str] = set()
-    for rid in ids:
-        if rid in seen:
-            raise DuplicateId(rid)
-        seen.add(rid)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise DuplicateId(rid)
+            seen.add(rid)
     value_cols = [h for h in header if h not in ("id", "name")]
     return ids, value_cols, cells
 
@@ -170,11 +175,11 @@ def _check_cell(raw: str | None, row: int, col: str) -> None:
         raise InvalidDataset(f"row {row}: {col} must be a 0/1 flag, got {raw}")
 
 
-def _float_column(cells: tuple, col: str) -> np.ndarray | None:
+def _float_column(cells: Sequence[str | None], col: str) -> np.ndarray | None:
     """A whole column converted at once, or None if some cell breaks the
     rules of ``_check_cell``. ``float`` parses each cell, as there."""
     try:
-        v = np.array(list(map(float, cells)))
+        v = np.fromiter(map(float, cells), float, len(cells))
     except (TypeError, ValueError):
         return None
     ok = np.isfinite(v)
@@ -224,7 +229,7 @@ def _join_covariates(
 ) -> np.ndarray:
     index = {rid: i for i, rid in enumerate(cov_ids)}
     try:
-        take = [index[rid] for rid in score_ids]
+        take = list(map(index.__getitem__, score_ids))
     except KeyError as err:
         raise InvalidDataset(f"covariates file has no row for id {err.args[0]!r}") from None
     return cov[take]

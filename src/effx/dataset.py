@@ -3,6 +3,11 @@
 A dataset is an ordered collection of units, each with strictly positive
 inputs and non-negative outputs. The package ships a 30-unit dataset of
 Italian airport operators (2019 figures) as a bundled fixture.
+
+CSV text reads as ``csv.DictReader`` reads it. A plain text (no quotes,
+carriage returns or NULs, as many commas on every line as in the header)
+is split on ',' in one call; any other goes through ``csv.reader`` (see
+_csv_columns). The CLI's score and covariate readers share this reader.
 """
 
 from __future__ import annotations
@@ -192,20 +197,21 @@ def parse_dataset(
     The header must contain an ``id`` column plus every schema column;
     ``name`` and ``GROUP`` columns are optional. Column order follows the
     schema arguments, not the file. Rows read as ``csv.DictReader`` reads
-    them (see _cells_by_column).
+    them (see _csv_columns).
 
     Whole columns are converted at once; if that fails, a scan of the rows
     in order raises the error of the first bad cell.
     """
     input_names = tuple(input_names)
     output_names = tuple(output_names)
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    header, cells, error = _csv_columns(text)
     for required in ("id", *input_names, *output_names):
         if required not in header:
             raise MissingColumn(required)
-    cells = _cells_by_column(header, reader)
     ids = [(rid or "").strip() for rid in cells["id"]]
+    if error:  # csv.DictReader yields the rows before the one it cannot read
+        _raise_first_bad_cell(ids, cells, input_names, output_names)
+        raise error
     try:
         inputs = [list(map(float, cells[col])) for col in input_names]
         outputs = [list(map(float, cells[col])) for col in output_names]
@@ -223,20 +229,70 @@ def parse_dataset(
     return Dataset(dmus=records, input_names=input_names, output_names=output_names)
 
 
-def _cells_by_column(header: list[str], rows) -> dict[str, tuple]:
-    """The cells of csv rows by header name, as ``csv.DictReader`` reads
-    them: blank rows are skipped, a short row reads None for its missing
-    cells, the cells of a long row past the header are dropped, and a
-    repeated header name reads its last column."""
+def _csv_columns(text: str) -> tuple[list[str], dict[str, Sequence[str | None]], csv.Error | None]:
+    """The header of CSV text, its cells by header name and the
+    ``csv.Error`` that stopped the rows, if one did.
+
+    Cells read as ``csv.DictReader`` reads them: blank rows are skipped, a
+    short row reads None for its missing cells, the cells of a long row
+    past the header are dropped, and a repeated header name reads its last
+    column. A ``csv.Error`` in a row is returned, not raised, with the
+    cells of the rows before it: ``csv.DictReader`` hands over the header
+    and those rows first, so a caller checks them before raising it.
+
+    A plain text is split on ',' in one call: its header line is not
+    empty, it holds no '"', '\\r' or NUL, every non-blank line holds
+    exactly as many commas as the header, and no line is longer than
+    ``csv.field_size_limit()``. Any other text goes through
+    ``csv.reader``, the only path that reads quoted fields and ragged
+    rows. Either way a line ends at '\\n' only, as ``io.StringIO`` splits
+    text into lines.
+    """
+    head = text.partition("\n")[0]
+    header = head.split(",")
     width = len(header)
-    rows = [row for row in rows if row]
-    if set(map(len, rows)) - {width}:
-        rows = [(row + [None] * width)[:width] for row in rows]
-    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    plain = _plain_rows(text, head, width)
+    if plain is None:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, [])
+        width = len(header)
+        rows, error = [], None
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+        except csv.Error as err:
+            error = err
+        if set(map(len, rows)) - {width}:
+            rows = [(row + [None] * width)[:width] for row in rows]
+        return header, dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ()), error
+    flat = plain.split(",") if plain else []
+    return header, {name: flat[j::width] for j, name in enumerate(header)}, None
+
+
+def _plain_rows(text: str, head: str, width: int) -> str | None:
+    """The non-blank lines of a plain text after its header line, joined
+    by ',', or None if the text is not plain (see _csv_columns).
+
+    Lines and commas are counted over the UTF-8 bytes, where ',' and '\\n'
+    never occur inside a multi-byte character; a length in bytes bounds
+    the length in characters from above."""
+    if not head or any(special in text for special in '"\r\0'):
+        return None
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.concatenate(([-1], np.flatnonzero(raw == ord("\n")), [raw.size]))
+    length = np.diff(ends) - 1
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends))
+    if length.max() > csv.field_size_limit() or (commas[length > 0] != width - 1).any():
+        return None
+    body = text[len(head) + 1 :]
+    if (length[1:-1] == 0).any():  # a blank line before the last line
+        return ",".join(filter(None, body.split("\n")))
+    return body.rstrip("\n").replace("\n", ",")
 
 
 def _raise_first_bad_cell(
-    ids: list[str], cells: dict[str, tuple], input_names: tuple[str, ...], output_names: tuple[str, ...]
+    ids: list[str], cells: dict[str, Sequence[str | None]], input_names: tuple[str, ...], output_names: tuple[str, ...]
 ):
     """Scan the rows in order and raise the first row's first error: a
     repeated id, then its inputs, outputs and GROUP cell in turn."""

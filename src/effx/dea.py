@@ -60,8 +60,8 @@ cannot finish (a stall, a pivot below tolerance, a basis that will not
 refactor) is scored on its own by solve_lp over frame + {j} as above; a
 serial solve whose basis cannot be refactored has no duals and is
 repeated over all columns. Results keep the CRS peers sparsely (the
-nonzero intensity weights and their units). efficiency(), classify_rts()
-and the intensity-sum LP always use solve_lp over all columns.
+nonzero intensity weights and their units). efficiency() and the
+intensity-sum LP always use solve_lp over all columns.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "RtsClass",
     "SolverFailure",
     "build_envelopment_lp",
-    "classify_rts",
     "efficiency",
     "run_frontier",
     "scale_efficiency",
@@ -455,12 +454,6 @@ def _rts_class(
         return RtsClass.DECREASING if low > 1.0 + _RTS_TOL else RtsClass.CONSTANT
     high = _lambda_sum_bound(ds, j, theta_crs, -1.0)
     return RtsClass.INCREASING if high < 1.0 - _RTS_TOL else RtsClass.CONSTANT
-
-
-def classify_rts(ds: Dataset, j: int, opts: DeaOptions) -> RtsClass:
-    """Returns-to-scale class of unit j (see _rts_class); solves the CRS
-    and VRS programs, plus one intensity-sum LP only on a score tie."""
-    return _evaluate_dmu(ds, j, opts).rts
 
 
 def _snap(theta: float, tol: float) -> float:

@@ -384,7 +384,8 @@ def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray |
 
 
 def check_solution(problem: LpProblem, solution: LpSolution, opts: LpOptions = LpOptions()) -> bool:
-    """Verify primal feasibility and complementary slackness of an optimum.
+    """Verify primal feasibility, the sign of each row dual and
+    complementary slackness of an optimum.
 
     Residuals are scaled by row magnitude so the check is meaningful for
     data spanning wide ranges.
@@ -422,6 +423,12 @@ def check_solution(problem: LpProblem, solution: LpSolution, opts: LpOptions = L
     # positive variables carry (near) zero reduced cost.
     for i in range(problem.n_rows):
         if abs(y[i]) * abs(slack[i]) > tol * denom[i] * (1.0 + abs(y[i])):
+            return False
+    # A row's dual is the reduced cost of its surplus (>=) or slack (<=)
+    # column, so it must be >= 0 or <= 0; checked on the equilibrated row.
+    y_row = y * np.abs(problem.A).max(axis=1, initial=0.0)
+    for rel, v in zip(problem.relations, y_row):
+        if (rel == GE and v < -opts.opt_tol) or (rel == LE and v > opts.opt_tol):
             return False
     rc = problem.c - problem.A.T @ y
     rc_scale = 1.0 + np.abs(problem.c) + np.abs(problem.A.T) @ np.abs(y)

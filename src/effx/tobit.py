@@ -305,12 +305,14 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
     """
     X, y = s.X, s.y
     k = s.k
-    if np.linalg.matrix_rank(X) < k:
+    # lstsq's rank counts singular values above eps * max(N, k) * s_max,
+    # the cutoff of np.linalg.matrix_rank.
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < k:
         raise NotIdentified("design matrix is rank deficient")
     if not (s.censor_status == CensorStatus.INTERIOR).any():
         raise NotIdentified("all rows are censored; the scale is not identified")
 
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ beta
     sigma0 = float(np.sqrt(np.mean(resid**2)))
     tau = np.log(max(sigma0, 1e-8))

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import effx.cli
@@ -445,24 +446,37 @@ class TestPipelineCommand:
 
 # Cells that float() reads differently from a plain decimal, or rejects.
 ODD_CELLS = ["nan", "inf", "-inf", "infinity", "", "1_000", " 0.5 ", "\uff11", "7.5", "-1", "8", "2", "-0.0"]
+# Quoted cells whose text csv.reader alone reads: a comma, a newline, a
+# doubled quote, a number, or a quote left open to the end of the file.
+QUOTED_CELLS = ['"0.5"', '"1,5"', '"0.5\n1"', '"u1"', '"a""b"', '""', '"x']
+# Cells of csv.field_size_limit() characters (131072 by default) and one more.
+LONG_CELLS = ["0" * 131071 + "1", "0" * 131072 + "1"]
 positions = st.integers(0, 40)
 mutations = st.one_of(
     st.tuples(st.just("blank"), positions),
     st.tuples(st.just("comment"), positions),
+    st.tuples(st.just("spaces"), positions),
     st.tuples(st.just("short"), positions, positions),
     st.tuples(st.just("extra"), positions, st.integers(1, 3)),
     st.tuples(st.just("repeat_header"), positions, positions),
     st.tuples(st.just("repeat_id"), positions, positions),
     st.tuples(st.just("bom")),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("no_final_newline")),
+    st.tuples(st.just("header_only")),
     st.tuples(st.just("cell"), positions, positions, st.sampled_from(ODD_CELLS)),
+    st.tuples(st.just("cell"), positions, positions, st.sampled_from(["1\r5", "1\x005", "\x00"])),
+    st.tuples(st.just("cell"), positions, positions, st.sampled_from(LONG_CELLS)),
+    st.tuples(st.just("quoted"), positions, positions, st.sampled_from(QUOTED_CELLS)),
 )
 
 
 def mutated_csv(header: list[str], rows: list[list[str]], muts) -> str:
-    """CSV text of header + rows after the mutations; positions wrap."""
+    """CSV text of header + rows after the mutations; positions wrap. A
+    "cell" mutation never touches the id column; a "quoted" one may."""
     header, rows = list(header), [list(r) for r in rows]
     width = len(header)
-    line_edits, bom = [], False
+    line_edits, flags = [], set()
     for kind, *args in muts:
         if kind == "short":
             row = rows[args[0] % len(rows)]
@@ -479,14 +493,24 @@ def mutated_csv(header: list[str], rows: list[list[str]], muts) -> str:
             row = rows[args[0] % len(rows)]
             if len(row) > 1:
                 row[1 + args[1] % (len(row) - 1)] = args[2]
-        elif kind == "bom":
-            bom = True
-        else:
+        elif kind == "quoted":
+            row = rows[args[0] % len(rows)]
+            if row:
+                row[args[1] % len(row)] = args[2]
+        elif kind in ("blank", "comment", "spaces"):
             line_edits.append((kind, args[0]))
-    lines = [",".join(header)] + [",".join(r) for r in rows]
+        else:
+            flags.add(kind)
+    lines = [",".join(header)] + ([] if "header_only" in flags else [",".join(r) for r in rows])
     for kind, pos in line_edits:
-        lines.insert(1 + pos % len(lines), "" if kind == "blank" else "# note")
-    return ("\ufeff" if bom else "") + "\n".join(lines) + "\n"
+        lines.insert(1 + pos % len(lines), {"blank": "", "comment": "# note", "spaces": "  "}[kind])
+    eol = "\r\n" if "crlf" in flags else "\n"
+    text = eol.join(lines) + ("" if "no_final_newline" in flags else eol)
+    return ("\ufeff" if "bom" in flags else "") + text
+
+
+def quote_all(cells: list[str]) -> list[str]:
+    return [f'"{cell}"' for cell in cells]
 
 
 def bits(x):
@@ -547,6 +571,12 @@ class TestColumnwiseIngest:
 
     @settings(max_examples=150)
     @given(st.lists(mutations, max_size=4), st.lists(mutations, max_size=4))
+    # one row a cell short and another a cell long: as many commas in all
+    # as a plain file
+    @example([("short", 1, 5), ("extra", 2, 1)], [("short", 1, 2), ("extra", 2, 1)])
+    # a quote left open on the last row, then a comment line with no
+    # newline after it: the open cell keeps the row's newline
+    @example([("quoted", 11, 1, '"x'), ("comment", 12), ("no_final_newline",)], [])
     def test_matches_per_cell_readers(self, cov_muts, score_muts):
         cov_rows, score_rows = self.base_rows()
         with tempfile.TemporaryDirectory() as tmp:
@@ -559,11 +589,15 @@ class TestColumnwiseIngest:
             score_want = outcome_unless_repeated(read_scores_by_cell, scores)
             assert outcome(effx.cli._read_scores, scores) == score_want
             code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
-        # Scores are read before covariates, and a reader error is a data
-        # error. Past the readers, a mutation can still leave an id without
-        # covariates (3). A repeated header name no longer reaches the fit
-        # as two copies of one column, which made the design singular (4).
-        first_error = next((w for w in (score_want, cov_want) if w[0] == "error"), None)
+        # Scores are read before covariates, a score file without rows
+        # stops there, and a reader error is a data error. Past the
+        # readers, a mutation can still leave an id without covariates (3).
+        # A repeated header name no longer reaches the fit as two copies of
+        # one column, which made the design singular (4).
+        wants = [score_want, cov_want]
+        if score_want[0] == "ok" and not score_want[1][0]:
+            wants.insert(1, ("error", "InvalidDataset", "tobit needs at least one score row"))
+        first_error = next((w for w in wants if w[0] == "error"), None)
         if first_error:
             assert code == 3 and out == ""
             assert err == f"effx: {first_error[1]}: {first_error[2]}\n"
@@ -582,6 +616,22 @@ class TestColumnwiseIngest:
                 for cell in ODD_CELLS:
                     path.write_text(mutated_csv(header, rows, [("cell", 1, j - 1, cell)]), "utf-8")
                     assert outcome(new, path) == outcome(old, path), (header[j], cell)
+
+    def test_plain_and_quoted_files_read_alike(self, tmp_path):
+        # The plain file is split on ',' without csv.reader; quoting every
+        # cell sends the same file through csv.reader.
+        cov_rows, score_rows = self.base_rows()
+        path = tmp_path / "data.csv"
+        for header, rows, reader in [
+            (self.COV_HEADER, cov_rows, effx.cli._read_covariates),
+            (self.SCORE_HEADER, score_rows, effx.cli._read_scores),
+        ]:
+            path.write_text(mutated_csv(header, rows, []), "utf-8")
+            with mock.patch("csv.reader", side_effect=AssertionError("csv.reader")):
+                plain = outcome(reader, path)
+            path.write_text(mutated_csv(quote_all(header), list(map(quote_all, rows)), []), "utf-8")
+            assert plain[0] == "ok"
+            assert outcome(reader, path) == plain
 
     def test_odd_cells_parse_like_float(self, tmp_path):
         covs = tmp_path / "covs.csv"

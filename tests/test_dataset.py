@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effx.dataset import (
@@ -17,7 +19,7 @@ from effx.dataset import (
 )
 from conftest import index_of
 from oracles import parse_dataset_by_cell
-from test_cli import ODD_CELLS, mutated_csv, mutations
+from test_cli import ODD_CELLS, mutated_csv, mutations, quote_all
 
 MINIMAL = "id,name,in0,out0\na,unit a,1,1\n"
 
@@ -136,6 +138,9 @@ class TestColumnwiseParse:
 
     @settings(max_examples=200)
     @given(st.lists(mutations, max_size=5))
+    # one row a cell short and another a cell long: as many commas in all
+    # as a plain text
+    @example([("short", 1, 6), ("extra", 2, 1)])
     def test_matches_per_cell_reader(self, muts):
         new, old = self.outcome(mutated_csv(self.HEADER, self.base_rows(), muts))
         assert new == old
@@ -146,6 +151,16 @@ class TestColumnwiseParse:
             for cell in ODD_CELLS:
                 new, old = self.outcome(mutated_csv(self.HEADER, rows, [("cell", 1, j - 1, cell)]))
                 assert new == old, (self.HEADER[j], cell)
+
+    def test_plain_and_quoted_text_read_alike(self):
+        # The plain text is split on ',' without csv.reader; quoting every
+        # cell sends the same text through csv.reader.
+        rows = self.base_rows()
+        with mock.patch("csv.reader", side_effect=AssertionError("csv.reader")):
+            plain, _ = self.outcome(mutated_csv(self.HEADER, rows, []))
+        quoted, _ = self.outcome(mutated_csv(quote_all(self.HEADER), list(map(quote_all, rows)), []))
+        assert plain[0] == "ok"
+        assert quoted == plain
 
 
 class TestRoundTrip:

@@ -13,7 +13,6 @@ from effx.dea import (
     Rts,
     RtsClass,
     build_envelopment_lp,
-    classify_rts,
     efficiency,
     run_frontier,
     scale_efficiency,
@@ -163,13 +162,13 @@ class TestScaleEfficiency:
 
 class TestRtsClassification:
     def test_milan_constant(self, airports):
-        assert classify_rts(airports, index_of(airports, "LIN-MXP"), CRS) is RtsClass.CONSTANT
+        assert _evaluate_dmu(airports, index_of(airports, "LIN-MXP"), CRS).rts is RtsClass.CONSTANT
 
     def test_parma_increasing(self, airports):
-        assert classify_rts(airports, index_of(airports, "PMF"), CRS) is RtsClass.INCREASING
+        assert _evaluate_dmu(airports, index_of(airports, "PMF"), CRS).rts is RtsClass.INCREASING
 
     def test_single_unit_constant(self):
-        assert classify_rts(one_unit_dataset(), 0, CRS) is RtsClass.CONSTANT
+        assert _evaluate_dmu(one_unit_dataset(), 0, CRS).rts is RtsClass.CONSTANT
 
     def test_decreasing_branch(self):
         # one-input one-output ray frontier: the big unit sits below the
@@ -180,8 +179,8 @@ class TestRtsClassification:
         )
         ds = Dataset(dmus=records, input_names=("i",), output_names=("o",))
         assert efficiency(ds, 1, CRS) == pytest.approx(0.5, abs=1e-9)
-        assert classify_rts(ds, 1, CRS) is RtsClass.DECREASING
-        assert classify_rts(ds, 0, CRS) is RtsClass.CONSTANT
+        assert _evaluate_dmu(ds, 1, CRS).rts is RtsClass.DECREASING
+        assert _evaluate_dmu(ds, 0, CRS).rts is RtsClass.CONSTANT
 
 
 class TestRtsRule:
@@ -238,10 +237,6 @@ class TestRtsRule:
         run_frontier(airports, DeaOptions())
         assert lp_calls == []
         assert lockstep_calls == [(airports.n, airports.n)] * 2
-
-    def test_classify_rts_solves_two_lps(self, airports, lp_calls):
-        assert classify_rts(airports, index_of(airports, "PMF"), CRS) is RtsClass.INCREASING
-        assert len(lp_calls) == 2
 
     @pytest.mark.filterwarnings("ignore:dataset has n")
     @settings(max_examples=25)

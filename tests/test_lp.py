@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effx.dataset import Dataset, DmuRecord
+from effx.dea import DeaOptions, Rts, build_envelopment_lp
 from effx.lp import (
     EQ,
     GE,
@@ -134,6 +138,33 @@ class TestCheckSolution:
         p = simple([1.0], [[1.0]], (LE,), [-1.0])
         with pytest.raises(ValueError):
             check_solution(p, solve_lp(p))
+
+    @pytest.mark.parametrize("rel, sign", [(GE, 1.0), (LE, -1.0)])
+    def test_rejects_row_dual_of_wrong_sign(self, rel, sign):
+        # min x1 s.t. x1 - x2 >= 0, x2 >= 1, x1 >= 1, or the same rows
+        # negated as <=. All three bind at (1, 1), where the duals
+        # (1, 1, 0) and (2, 2, -1) (negated for <=) both zero every reduced
+        # cost; only the first has the sign its rows require.
+        A = sign * np.array([[1.0, -1.0], [0.0, 1.0], [1.0, 0.0]])
+        p = simple([1.0, 0.0], A, (rel,) * 3, sign * np.array([0.0, 1.0, 1.0]))
+        sol = solve_lp(p)
+        assert check_solution(p, replace(sol, duals=sign * np.array([1.0, 1.0, 0.0]))) is True
+        assert check_solution(p, replace(sol, duals=sign * np.array([2.0, 2.0, -1.0]))) is False
+
+    def test_rejects_suboptimal_vertex_on_eight_decades(self):
+        # Entries spanning eight decades: the full-column VRS solve of unit
+        # u50 stops at theta = 0.0824229137 (exact 0.0823678223) with a
+        # dual of -4.05e-10 on the >= row of input 0, -0.0116 once that row
+        # is equilibrated. Every reduced cost of a structural column passes.
+        rng = np.random.default_rng(33)
+        X, Y = 10 ** rng.uniform(0, 8, (60, 4)), 10 ** rng.uniform(0, 8, (60, 4))
+        units = tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60))
+        ds = Dataset(units, ("i0", "i1", "i2", "i3"), ("o0", "o1", "o2", "o3"))
+        p = build_envelopment_lp(ds, 50, DeaOptions(Rts.VRS))
+        sol = solve_lp(p)
+        assert sol.objective_value > 0.0823678223 * (1.0 + 1e-4)
+        assert -0.012 < sol.duals[0] * np.abs(p.A[0]).max() < -0.011
+        assert check_solution(p, sol) is False
 
     def test_random_five_var_agreement(self):
         rng = np.random.default_rng(5)
