@@ -21,7 +21,7 @@ from .dea import (
     run_frontier,
     scale_efficiency,
 )
-from .lp import LpOptions, LpProblem, LpSolution, LpStatus, check_solution, solve_lp
+from .lp import LpOptions, LpProblem, LpSolution, LpStatus, solve_lp
 from .tobit import (
     CensoredSample,
     InferenceReport,
@@ -57,7 +57,6 @@ __all__ = [
     "TobitFit",
     "build_envelopment_lp",
     "bundled_fixture",
-    "check_solution",
     "efficiency",
     "fit",
     "inference_report",

@@ -56,12 +56,14 @@ when it can help it. A first solve starts at its best single frame peer
 (see _Frame._one_peer), a feasible vertex that skips phase 1. A re-solve
 starts at its own certified optimum, which the added columns leave
 primal feasible (restricted basis entry again). A program the lockstep
-cannot finish (a stall, a pivot below tolerance, a basis that will not
-refactor) is scored on its own by solve_lp over frame + {j} as above; a
-serial solve whose basis cannot be refactored has no duals and is
-repeated over all columns. Results keep the CRS peers sparsely (the
-nonzero intensity weights and their units). efficiency() and the
-intensity-sum LP always use solve_lp over all columns.
+cannot finish (a stall, a pivot below tolerance, a basis that fails its
+certificate) is scored on its own by solve_lp over frame + {j} as above.
+Both paths certify every optimum they return with the same check
+(lp._certify), so the duals that price the other units always exist; a
+unit that neither path can certify raises SolverFailure. Results keep
+the CRS peers sparsely (the nonzero intensity weights and their units).
+efficiency() and the intensity-sum LP always use solve_lp over all
+columns.
 """
 
 from __future__ import annotations
@@ -383,11 +385,6 @@ class _Frame:
         while True:
             idx = np.flatnonzero(cols)
             sol = _solve(ds, j, build_envelopment_lp(ds, j, opts, idx), "envelopment")
-            if sol.duals is None:
-                # No prices to certify the subset with: use every column.
-                idx = np.arange(ds.n)
-                sol = _solve(ds, j, build_envelopment_lp(ds, j, opts), "envelopment")
-                break
             y = sol.duals
             tol = LpOptions.opt_tol * (1.0 + self.price_abs @ np.abs(y))
             enter = (self.price @ y < -tol) & ~cols

@@ -3,19 +3,23 @@
 Problems are stated as ``min c.x`` subject to ``A x (<=|=|>=) b`` with
 implicit bounds ``x >= 0``. The solver equilibrates rows internally, runs
 Dantzig pricing, and falls back to Bland's rule after a run of
-non-improving (degenerate) pivots so that every instance terminates. A
-solve that still reaches the pivot cap is retried once with Bland's rule
-from the first pivot.
+non-improving (degenerate) pivots so that every instance terminates.
+Every optimum is certified before it is returned: the final basis is
+refactored, and its x_B and reduced costs are checked on the equilibrated
+rows (_certify). A solve that reaches the pivot cap, meets only tiny
+pivots or ends at an optimum that fails the certificate is retried once
+from scratch with Bland's rule from the first pivot, and certified again.
 
 _lockstep is the batched counterpart that effx.dea scores blocks of units
 with: many programs that share all columns but one, solved together by a
 revised simplex with the same pricing and ratio test, one pivot per
 program per pass. A program may come with a start basis; one that is
 nonsingular and primal feasible skips phase 1. A program that finishes a
-phase idles through that pass while the others pivot. It keeps no
-Bland's rule: a program that stalls, meets only tiny pivots or ends with
-a basis that is singular or not certified optimal is reported back for
-solve_lp to settle, and the others of its call are not.
+phase makes a no-op pivot in that pass while the others pivot. Its
+optima pass the same certificate as solve_lp's. It keeps no Bland's
+rule: a program that stalls, meets only tiny pivots or ends with a basis
+that fails the certificate is reported back for solve_lp to settle, and
+the others of its call are not.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "NumericalBreakdown",
-    "check_solution",
     "solve_lp",
 ]
 
@@ -112,8 +115,9 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """Solver verdict. ``basis`` indexes the internal augmented columns;
-    indices below ``n_vars`` refer to the problem's own variables.
-    ``duals`` is None unless the optimal basis could be refactored."""
+    indices below ``n_vars`` refer to the problem's own variables. An
+    OPTIMAL verdict always carries ``duals``, one per row, from the
+    refactored basis that certified it."""
 
     status: LpStatus
     x: np.ndarray | None
@@ -184,7 +188,7 @@ class _Tableau:
         self.ncols = col
         self.basis = basis
 
-        # The equilibrated standard-form matrix; _refine factors its basis
+        # The equilibrated standard-form matrix; _certify factors its basis
         # columns after the tableau copy has drifted through pivots.
         E = np.zeros((r, self.ncols))
         E[:, :d] = A
@@ -280,24 +284,35 @@ class _Tableau:
 
 
 def solve_lp(problem: LpProblem, opts: LpOptions = LpOptions()) -> LpSolution:
-    """Solve an LpProblem to optimality with a two-phase primal simplex.
+    """Solve an LpProblem with a two-phase primal simplex. Every optimum
+    it returns is certified (see _certify) and carries its duals.
 
-    A solve that reaches the pivot cap is retried once from scratch with
-    Bland's rule from the first pivot; ``iterations`` then counts the
-    pivots of both attempts. Raises CycleLimitExceeded when the retry
-    reaches the cap too, or NumericalBreakdown on pathological instances;
-    otherwise always returns a status verdict.
+    A Dantzig attempt that reaches the pivot cap, meets only pivots below
+    pivot_tol or ends at an optimum that fails the certificate is solved
+    once more from scratch with Bland's rule from the first pivot;
+    ``iterations`` then counts the pivots of both attempts. Raises
+    CycleLimitExceeded when the retry reaches the cap too, and
+    NumericalBreakdown when it fails otherwise. INFEASIBLE and UNBOUNDED
+    verdicts are returned as the attempt reached them.
     """
-    try:
-        return _solve(problem, opts, bland=False)
-    except CycleLimitExceeded:
-        sol = _solve(problem, opts, bland=True)
-    # The capped attempt raised on its pivot number max_iterations + 1.
-    return replace(sol, iterations=sol.iterations + opts.max_iterations + 1)
-
-
-def _solve(problem: LpProblem, opts: LpOptions, bland: bool) -> LpSolution:
     tab = _Tableau(problem, opts)
+    try:
+        sol, stands = _solve(problem, tab, bland=False)
+    except LpError:
+        stands = False
+    if stands:
+        return sol
+    sol, stands = _solve(problem, _Tableau(problem, opts), bland=True)
+    if not stands:
+        raise NumericalBreakdown("optimum fails its certificate")
+    return replace(sol, iterations=sol.iterations + tab.iterations)
+
+
+def _solve(problem: LpProblem, tab: _Tableau, bland: bool) -> tuple[LpSolution, bool]:
+    """One attempt: the verdict and whether it stands, which an optimum
+    does only if _certify certifies its final basis. x and the duals of
+    an optimum come from that refactored basis."""
+    opts = tab.opts
     d, r, ncols = tab.d, tab.r, tab.ncols
 
     if tab.art_start < ncols:
@@ -307,9 +322,7 @@ def _solve(problem: LpProblem, opts: LpOptions, bland: bool) -> LpSolution:
         status, _ = tab.run(bland)
         # Phase 1 is bounded below by zero in exact arithmetic, not in
         # floating point: on data spanning eight decades a column can price
-        # in with no positive entry left (tests/test_cli.py pins one such
-        # set). ROADMAP item 1's certified retry is expected to turn this
-        # case into certified scores.
+        # in with no positive entry left.
         if status != "optimal":
             raise NumericalBreakdown("phase 1 terminated without an optimum")
         if -tab.T[-1, -1] > opts.feas_tol:
@@ -319,7 +332,7 @@ def _solve(problem: LpProblem, opts: LpOptions, bland: bool) -> LpSolution:
                 objective_value=None,
                 basis=tuple(int(i) for i in tab.basis),
                 iterations=tab.iterations,
-            )
+            ), True
         # Drive leftover artificials out of the basis where possible;
         # rows that resist are redundant and stay pinned at zero.
         for i in range(r):
@@ -346,98 +359,72 @@ def _solve(problem: LpProblem, opts: LpOptions, bland: bool) -> LpSolution:
             basis=basis,
             iterations=tab.iterations,
             ray=ray_full[:d],
-        )
+        ), True
 
-    x, duals = _refine(problem, tab)
+    E = tab.E
+    ok, xb, y = _certify(E, E[:, :1].T, costs, tab.basis[None], tab.b_eq[None], tab.art_start, opts)
+    x_full = np.zeros(ncols)
+    x_full[tab.basis] = xb[0]
+    x = x_full[:d]
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
         objective_value=float(problem.c @ x),
         basis=basis,
         iterations=tab.iterations,
-        duals=duals,
-    )
+        duals=y[0] * np.where(tab.flipped, -1.0, 1.0) / tab.row_scale,
+    ), bool(ok[0])
 
 
-def _refine(problem: LpProblem, tab: _Tableau) -> tuple[np.ndarray, np.ndarray | None]:
-    """Recompute the basic solution and duals from the final basis.
+def _certify(
+    A: np.ndarray,
+    own: np.ndarray,
+    c: np.ndarray,
+    basis: np.ndarray,
+    b: np.ndarray,
+    priced: int,
+    opts: LpOptions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Refactor each program's final basis and certify it optimal: the
+    basis check of Koch 2004 ("The final NETLIB-LP results", ORL 32) and
+    Applegate, Cook, Dash and Espinoza 2007 ("Exact solutions to linear
+    programming problems", ORL 35), in floating point.
 
-    A fresh factorization removes drift accumulated across pivots. When
-    the basis matrix is singular, x falls back to the tableau values and
-    the duals are None: no certified prices exist.
+    The programs ``min c.v`` s.t. ``A_l v = b_l``, ``v >= 0`` share the
+    equilibrated columns of A (r x n) but the first, which is own[l] for
+    program l. basis (L x r) names each program's basic columns; those
+    from priced on are artificials, left basic on redundant rows. A
+    program is certified when
+    - every refactored level is within feas_tol of its bound (x_B >= 0,
+      an artificial at 0);
+    - no level outside its bound by more than rounding noise, sqrt(eps)
+      of the largest level, moves a row by more than feas_tol of that
+      row's activity: on a row whose entries dwarf its right-hand side,
+      an absolute feas_tol alone passes bases that are off by percents;
+    - every reduced cost c_j - y.a_j of the first priced columns, slack
+      and surplus columns included, is >= -opt_tol (1 + |y|.|a_j|).
+    A singular basis gives nan, which fails.
+
+    Returns (ok, x_B, y) of the refactored bases.
     """
-    r, ncols = tab.r, tab.ncols
-    costs = np.zeros(ncols)
-    costs[: tab.d] = problem.c
-    B = tab.E[:, tab.basis]
-    x_full = np.zeros(ncols)
-    sign = np.where(tab.flipped, -1.0, 1.0)
-    try:
-        xb = np.linalg.solve(B, tab.b_eq)
-        y = np.linalg.solve(B.T, costs[tab.basis])
-    except np.linalg.LinAlgError:
-        x_full[tab.basis] = tab.T[:r, -1]
-        return x_full[: tab.d], None
-    x_full[tab.basis] = xb
-    duals = y * sign / tab.row_scale
-    return x_full[: tab.d], duals
+    B = _basis_matrices(A.T, own, basis)
+    x = _solve_each(B, b[..., None])[..., 0]
+    y = _solve_each(B.transpose(0, 2, 1), c[basis][..., None])[..., 0]
 
+    short = np.where(basis >= priced, np.abs(x), np.maximum(-x, 0.0))
+    noise = np.sqrt(np.finfo(float).eps) * np.abs(x).max(1, initial=0.0, keepdims=True)
+    absB = np.abs(B)
+    moved = (absB @ np.maximum(short - noise, 0.0)[..., None])[..., 0]
+    activity = np.abs(b) + (absB @ np.abs(x)[..., None])[..., 0]
+    ok = (short <= opts.feas_tol).all(1) & (moved <= opts.feas_tol * activity).all(1)
 
-def check_solution(problem: LpProblem, solution: LpSolution, opts: LpOptions = LpOptions()) -> bool:
-    """Verify primal feasibility, the sign of each row dual and
-    complementary slackness of an optimum.
-
-    Residuals are scaled by row magnitude so the check is meaningful for
-    data spanning wide ranges.
-    """
-    if solution.status is not LpStatus.OPTIMAL:
-        raise ValueError("check_solution requires an Optimal solution")
-    x = solution.x
-    tol = opts.feas_tol
-    xmax = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
-    if (x < -tol * xmax).any():
-        return False
-
-    Ax = problem.A @ x
-    activity = np.abs(problem.A) @ np.abs(x)
-    denom = 1.0 + np.abs(problem.b) + activity
-    slack = Ax - problem.b
-    for i, rel in enumerate(problem.relations):
-        resid = slack[i]
-        if rel == LE and resid > tol * denom[i]:
-            return False
-        if rel == GE and -resid > tol * denom[i]:
-            return False
-        if rel == EQ and abs(resid) > tol * denom[i]:
-            return False
-
-    obj = float(problem.c @ x)
-    if solution.objective_value is not None:
-        if abs(solution.objective_value - obj) > 1e-9 * (1.0 + abs(obj)):
-            return False
-
-    y = solution.duals
-    if y is None:
-        return True
-    # Complementary slackness: dual price times row slack vanishes, and
-    # positive variables carry (near) zero reduced cost.
-    for i in range(problem.n_rows):
-        if abs(y[i]) * abs(slack[i]) > tol * denom[i] * (1.0 + abs(y[i])):
-            return False
-    # A row's dual is the reduced cost of its surplus (>=) or slack (<=)
-    # column, so it must be >= 0 or <= 0; checked on the equilibrated row.
-    y_row = y * np.abs(problem.A).max(axis=1, initial=0.0)
-    for rel, v in zip(problem.relations, y_row):
-        if (rel == GE and v < -opts.opt_tol) or (rel == LE and v > opts.opt_tol):
-            return False
-    rc = problem.c - problem.A.T @ y
-    rc_scale = 1.0 + np.abs(problem.c) + np.abs(problem.A.T) @ np.abs(y)
-    for j in range(problem.n_vars):
-        if x[j] > tol * xmax and abs(rc[j]) > tol * rc_scale[j]:
-            return False
-        if rc[j] < -tol * rc_scale[j]:
-            return False
-    return True
+    P = A[:, :priced]
+    rc = c[:priced] - y @ P
+    rc[:, 0] = c[0] - (y * own).sum(1)
+    scale = 1.0 + np.abs(y) @ np.abs(P)
+    scale[:, 0] = 1.0 + np.abs(y * own).sum(1)
+    ok &= (rc >= -opts.opt_tol * scale).all(1)
+    return ok, x, y
 
 
 def _lockstep(
@@ -467,15 +454,14 @@ def _lockstep(
     pivoted out. Each pivot is one rank-1 update of the program's
     [B^-1 | x_B]. A program that ends a phase makes a no-op pivot in that
     pass while the others go on. The optimal bases are refactored for x_B
-    and the duals.
+    and the duals, and certified (see _certify).
 
     Returns (ok, basis, x_B, y), basis indexing N's columns (0 is the
     program's own). ok is False for a program that made stall_threshold
     pivots in a row without bettering its best objective or more than
     max_iterations pivots, met only pivots below pivot_tol, ended anything
-    but optimal, kept an artificial, or whose refactored basis is singular
-    or not primal feasible within feas_tol and dual feasible within
-    opt_tol; solve_lp settles those. x_B and y are zero where ok is False.
+    but optimal, kept an artificial, or whose basis fails the certificate;
+    solve_lp settles those. x_B and y are zero where ok is False.
     """
     L, r = rhs.shape
     d = N.shape[1]
@@ -586,16 +572,9 @@ def _lockstep(
     y = np.zeros((L, r))
     opt = np.flatnonzero(ok)
     if opt.size:
-        B = _basis_matrices(NT, theta[opt], out_basis[opt])
-        x[opt] = _solve_each(B, rhs[opt][..., None])[..., 0]
-        y[opt] = _solve_each(B.transpose(0, 2, 1), (out_basis[opt] == 0)[..., None].astype(float))[..., 0]
-        # Certify the refactored optima: x_B >= 0 and no reduced cost < 0.
-        # A singular basis gives nan, which fails both.
-        yo = y[opt]
-        rc = yo @ negN
-        rc[:, 0] = 1.0 - (yo * theta[opt]).sum(1)
-        tol = opts.opt_tol * (1.0 + np.abs(yo) @ np.abs(N))
-        ok[opt] = (x[opt] >= -opts.feas_tol).all(1) & (rc >= -tol).all(1)
+        cost = np.zeros(d)
+        cost[0] = 1.0
+        ok[opt], x[opt], y[opt] = _certify(N, theta[opt], cost, out_basis[opt], rhs[opt], d, opts)
         x[~ok] = 0.0
         y[~ok] = 0.0
     return ok, out_basis, x, y

@@ -1,11 +1,12 @@
 """Independent reference implementations used to freeze expected values.
 
 None of these share code paths with the package: linear programs are
-solved by brute-force vertex enumeration or by HiGHS, tail probabilities by
-quadrature, likelihoods by direct per-row evaluation in extended
-precision, gradients by central differences, and the CLI's covariate and
-score CSVs and the dataset CSV by ``csv.DictReader`` and one check per
-cell.
+solved by brute-force vertex enumeration, by an exact rational simplex or
+by HiGHS, and a reported optimum is checked on the problem's own rows by
+``check_solution``; tail probabilities by quadrature, likelihoods by
+direct per-row evaluation in extended precision, gradients by central
+differences, and the CLI's covariate and score CSVs and the dataset CSV
+by ``csv.DictReader`` and one check per cell.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -28,7 +30,7 @@ from effx.dataset import (
     NonNumericCell,
     NonPositiveInput,
 )
-from effx.lp import EQ, GE, LE, LpProblem
+from effx.lp import EQ, GE, LE, LpOptions, LpProblem, LpSolution, LpStatus
 
 
 def enumerate_vertices(problem: LpProblem, feas_tol: float = 1e-8) -> np.ndarray:
@@ -92,6 +94,133 @@ def vertex_minimum(problem: LpProblem) -> tuple[str, float | None, np.ndarray | 
     return "optimal", float(objs[i]), verts[i]
 
 
+def exact_minimum(problem: LpProblem) -> Fraction | None:
+    """Minimum of the LP in exact rational arithmetic on its float entries
+    (every float is a dyadic rational): a two-phase dense simplex under
+    Bland's rule, which cannot cycle. None when the LP is infeasible; only
+    valid for problems known to be bounded."""
+    A = [[Fraction(v) for v in row] for row in problem.A.tolist()]
+    b = [Fraction(v) for v in problem.b.tolist()]
+    rels = list(problem.relations)
+    r, d = len(b), problem.n_vars
+    for i in range(r):
+        if b[i] < 0:
+            A[i], b[i] = [-v for v in A[i]], -b[i]
+            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+    # Columns: x, a slack (<=) or surplus (>=) per inequality, then an
+    # artificial per row that has no slack to start on.
+    n_slack = sum(rel != EQ for rel in rels)
+    art = d + n_slack
+    ncols = art + sum(rel != LE for rel in rels)
+    T = [row + [Fraction(0)] * (ncols - d) + [bi] for row, bi in zip(A, b)]
+    basis = []
+    s, a = d, art
+    for i, rel in enumerate(rels):
+        if rel != EQ:
+            T[i][s] = Fraction(1 if rel == LE else -1)
+            s += 1
+        if rel == LE:
+            basis.append(s - 1)
+        else:
+            T[i][a] = Fraction(1)
+            basis.append(a)
+            a += 1
+
+    def pivot(row, col):
+        T[row] = [v / T[row][col] for v in T[row]]
+        for i in range(r):
+            f = T[i][col]
+            if i != row and f:
+                T[i] = [u - f * w for u, w in zip(T[i], T[row])]
+        basis[row] = col
+
+    def run(cost, cols):
+        """Bland's rule over the first cols columns; False if unbounded."""
+        while True:
+            y = [cost[k] for k in basis]
+            enter = next(
+                (j for j in range(cols) if j not in basis and cost[j] < sum(yi * T[i][j] for i, yi in enumerate(y) if yi)),
+                None,
+            )
+            if enter is None:
+                return True
+            rows = [i for i in range(r) if T[i][enter] > 0]
+            if not rows:
+                return False
+            best = min(T[i][-1] / T[i][enter] for i in rows)
+            pivot(min((i for i in rows if T[i][-1] / T[i][enter] == best), key=basis.__getitem__), enter)
+
+    if ncols > art:
+        run([Fraction(0)] * art + [Fraction(1)] * (ncols - art), ncols)
+        if any(T[i][-1] for i in range(r) if basis[i] >= art):
+            return None
+        for i in range(r):
+            cand = [j for j in range(art) if T[i][j]] if basis[i] >= art else []
+            if cand:
+                pivot(i, cand[0])
+    cost = [Fraction(v) for v in problem.c.tolist()] + [Fraction(0)] * (ncols - d)
+    if not run(cost, art):
+        raise ValueError("exact_minimum requires a bounded problem")
+    return sum(cost[k] * T[i][-1] for i, k in enumerate(basis))
+
+
+def check_solution(problem: LpProblem, solution: LpSolution, opts: LpOptions = LpOptions()) -> bool:
+    """Verify primal feasibility, the sign of each row dual and
+    complementary slackness of an optimum.
+
+    Residuals are scaled by row magnitude so the check is meaningful for
+    data spanning wide ranges.
+    """
+    if solution.status is not LpStatus.OPTIMAL:
+        raise ValueError("check_solution requires an Optimal solution")
+    x = solution.x
+    tol = opts.feas_tol
+    xmax = max(1.0, float(np.abs(x).max()) if x.size else 1.0)
+    if (x < -tol * xmax).any():
+        return False
+
+    Ax = problem.A @ x
+    activity = np.abs(problem.A) @ np.abs(x)
+    denom = 1.0 + np.abs(problem.b) + activity
+    slack = Ax - problem.b
+    for i, rel in enumerate(problem.relations):
+        resid = slack[i]
+        if rel == LE and resid > tol * denom[i]:
+            return False
+        if rel == GE and -resid > tol * denom[i]:
+            return False
+        if rel == EQ and abs(resid) > tol * denom[i]:
+            return False
+
+    obj = float(problem.c @ x)
+    if solution.objective_value is not None:
+        if abs(solution.objective_value - obj) > 1e-9 * (1.0 + abs(obj)):
+            return False
+
+    y = solution.duals
+    if y is None:
+        return True
+    # Complementary slackness: dual price times row slack vanishes, and
+    # positive variables carry (near) zero reduced cost.
+    for i in range(problem.n_rows):
+        if abs(y[i]) * abs(slack[i]) > tol * denom[i] * (1.0 + abs(y[i])):
+            return False
+    # A row's dual is the reduced cost of its surplus (>=) or slack (<=)
+    # column, so it must be >= 0 or <= 0; checked on the equilibrated row.
+    y_row = y * np.abs(problem.A).max(axis=1, initial=0.0)
+    for rel, v in zip(problem.relations, y_row):
+        if (rel == GE and v < -opts.opt_tol) or (rel == LE and v > opts.opt_tol):
+            return False
+    rc = problem.c - problem.A.T @ y
+    rc_scale = 1.0 + np.abs(problem.c) + np.abs(problem.A.T) @ np.abs(y)
+    for j in range(problem.n_vars):
+        if x[j] > tol * xmax and abs(rc[j]) > tol * rc_scale[j]:
+            return False
+        if rc[j] < -tol * rc_scale[j]:
+            return False
+    return True
+
+
 def random_bounded_lp(rng: np.random.Generator, max_vars: int = 8, max_rows: int = 12) -> LpProblem:
     """Feasible bounded LP: a known interior point fixes the right-hand
     sides and one reserved row caps the variable sum."""
@@ -137,11 +266,15 @@ def lambda_sum_range_highs(X: np.ndarray, Y: np.ndarray, j: int) -> tuple[float,
     solved by HiGHS (scipy.optimize.linprog): first the CRS score, then
     the intensity sum over the envelopment rows at that score. The
     contracted inputs get a 1e-8 relative cushion, far below the 1e-6
-    returns-to-scale tolerance, so HiGHS's own score stays feasible."""
+    returns-to-scale tolerance, so HiGHS's own score stays feasible. Both
+    solves run at the 1e-10 feasibility tolerances of
+    envelopment_theta_highs."""
     from scipy.optimize import linprog
 
+    tight = dict(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+
     def solve(c, A_ub, b_ub):
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tight)
         if res.status != 0:
             raise RuntimeError(f"HiGHS: {res.message}")
         return float(res.fun)

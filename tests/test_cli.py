@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -188,6 +189,48 @@ class TestDeaCommand:
             want = GOLDEN_SCORES[rid]
             assert (ote, pte, se) == (f"{want[0]:.2f}", f"{want[1]:.2f}", f"{want[2]:.2f}"), line
             assert rts == want[3]
+
+
+FIXTURE_BYTES = serialize_dataset(bundled_fixture()).encode("utf-8")
+
+
+@pytest.mark.filterwarnings("ignore:dataset has n")
+class TestDeaExitCodes:
+    """effx dea --input on a damaged copy of the fixture CSV exits 0, or 3
+    with empty stdout and one ``effx: <Error>: ...`` line on stderr; it
+    never lets a traceback out."""
+
+    @staticmethod
+    def dea(data: bytes) -> tuple[int, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            code, out, err = invoke(["dea", "--input", str(path)])
+        assert code in (0, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 3:
+            assert out == ""
+            assert re.fullmatch(r"effx: \w+: [^\n]*\n", err), err
+        return code, err
+
+    @settings(max_examples=60)
+    @given(st.integers(0, len(FIXTURE_BYTES)))
+    @example(0)
+    @example(len(FIXTURE_BYTES) - 1)
+    def test_truncated_file(self, cut):
+        self.dea(FIXTURE_BYTES[:cut])
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, len(FIXTURE_BYTES)), st.binary(min_size=1, max_size=3)), min_size=1, max_size=3))
+    def test_non_utf8_bytes(self, splices):
+        data = FIXTURE_BYTES
+        for pos, raw in sorted(splices, reverse=True):
+            data = data[:pos] + bytes(0x80 | v for v in raw) + data[pos:]
+        code, err = self.dea(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 3 and err.startswith("effx: UnicodeDecodeError: "), err
 
 
 class TestSummaryCommand:

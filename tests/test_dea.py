@@ -12,17 +12,17 @@ from effx.dea import (
     DomainError,
     Rts,
     RtsClass,
+    SolverFailure,
     build_envelopment_lp,
     efficiency,
     run_frontier,
     scale_efficiency,
 )
 from effx.dea import _evaluate_dmu, _rts_class
-from effx.lp import EQ, GE, LpOptions, LpStatus, check_solution, solve_lp
+from effx.lp import EQ, GE, LpOptions, LpStatus, solve_lp
 from effx.report import frontier_table, render_table
 from conftest import index_of, random_dataset
-from oracles import envelopment_theta_highs, lambda_sum_range_highs, vertex_minimum
-from test_acceptance import GOLDEN_SCORES, TOL
+from oracles import check_solution, envelopment_theta_highs, lambda_sum_range_highs, vertex_minimum
 
 CRS = DeaOptions(returns_to_scale=Rts.CRS)
 VRS = DeaOptions(returns_to_scale=Rts.VRS)
@@ -351,19 +351,18 @@ class TestWorkingSet:
         got = np.array([[r.ote, r.pte] for r in rep.results])
         assert np.abs(got - want).max() <= 1e-9
 
-    def test_no_duals_falls_back_to_all_columns(self, airports, monkeypatch, lp_calls):
+    def test_no_factorable_basis_fails_first_unit(self, airports, monkeypatch, lp_calls):
+        # no basis can be factored, so neither the lockstep nor solve_lp
+        # can certify an optimum: the first unit fails, with no score
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        rep = run_frontier(airports, DeaOptions())
-        # every unit: one working-set solve without duals, then all columns
-        assert len(lp_calls) == 4 * airports.n
-        assert sum(p.n_vars == airports.n + 1 for p in lp_calls) >= 2 * airports.n
-        for r in rep.results:
-            ote, pte, se, rts = GOLDEN_SCORES[r.dmu_id]
-            assert abs(r.ote - ote) <= TOL and abs(r.pte - pte) <= TOL, r.dmu_id
-            assert abs(r.se - se) <= TOL and r.rts.value == rts, r.dmu_id
+        with pytest.raises(SolverFailure, match="optimum fails its certificate") as err:
+            run_frontier(airports, DeaOptions())
+        assert err.value.dmu_id == airports.dmus[0].id
+        # one working-set solve of the first unit's CRS program
+        assert len(lp_calls) == 1 and lp_calls[0].c[0] == 1.0 and EQ not in lp_calls[0].relations
 
     def test_fixture_full_column_pivots(self, airports):
         # the pivot sequence of a full-column solve is pinned: 714 pivots
@@ -416,11 +415,11 @@ class TestLockstep:
             assert r.rts is w.rts, r.dmu_id
 
     def test_one_singular_basis_sends_only_its_program_to_solve_lp(self, airports, monkeypatch, lp_calls):
-        # Every lockstep basis matrix holding PMF's CRS theta column reads
-        # as singular. The lockstep refactors its block's optima one by one
+        # Every basis matrix holding PMF's CRS theta column reads as
+        # singular. The lockstep refactors its block's optima one by one
         # when the stacked solve fails, so only PMF's CRS program leaves it.
-        want = run_frontier(airports, DeaOptions())
-        lp_calls.clear()
+        # solve_lp cannot certify that program either: its optimal basis
+        # holds the same column, so PMF fails.
         j = index_of(airports, "PMF")
         X = airports.input_matrix
         m, r = airports.m, airports.m + airports.s
@@ -437,14 +436,13 @@ class TestLockstep:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular_for_j)
-        got = run_frontier(airports, DeaOptions())
+        with pytest.raises(SolverFailure, match="optimum fails its certificate") as err:
+            run_frontier(airports, DeaOptions())
+        assert err.value.dmu_id == "PMF"
         # one serial working-set solve (one or more LPs), of PMF's CRS program
         assert lp_calls
         for p in lp_calls:
             assert (p.A[:m, 0] == X[j]).all() and EQ not in p.relations
-        for res, w in zip(got.results, want.results):
-            assert abs(res.ote - w.ote) <= 1e-9 and abs(res.pte - w.pte) <= 1e-9, res.dmu_id
-            assert res.rts is w.rts, res.dmu_id
 
 
 class TestSolverRegressions:
@@ -463,20 +461,47 @@ class TestSolverRegressions:
         # The set tests/test_cli.py pins (60 units, 4 x 4, 10^U(0, 8)). u2's
         # cold-started serial solve ended phase 1 without an optimum; from
         # its one-peer start the lockstep scores it, as HiGHS does.
-        rng = np.random.default_rng(1)
-        X = 10 ** rng.uniform(0, 8, (60, 4))
-        Y = 10 ** rng.uniform(0, 8, (60, 4))
-        ds = Dataset(
-            tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60)),
-            tuple(f"in{i}" for i in range(4)),
-            tuple(f"out{o}" for o in range(4)),
-        )
+        ds = eight_decade_dataset(1)
+        X, Y = ds.input_matrix, ds.output_matrix
         for rts in (Rts.CRS, Rts.VRS):
             got = effx.dea._Frame(ds, DeaOptions(rts)).solve_block(range(ds.n))[2]
             assert got is not None, rts
             dual, ipm = envelopment_theta_highs(X, Y, 2, rts is Rts.VRS)
             assert dual == pytest.approx(ipm, rel=1e-10)
             assert got.theta == pytest.approx(dual, rel=1e-10), rts
+
+    def test_eight_decade_set_seed_0_unit_u41(self):
+        # Seed 0 of the same generator. The lockstep leaves u41's VRS
+        # program to the serial working-set solve, which stopped at
+        # theta = 0 (exact 1) before solve_lp certified its optima. No
+        # run may report that score: it is right or the unit fails.
+        ds = eight_decade_dataset(0)
+        frame = effx.dea._Frame(ds, VRS)
+        assert frame.solve_block(range(ds.n))[41] is None
+        try:
+            theta = frame.solve(41).theta
+        except SolverFailure:
+            pass
+        else:
+            assert theta == pytest.approx(1.0, rel=1e-9)
+        assert efficiency(ds, 41, VRS) == pytest.approx(1.0, rel=1e-9)
+        try:
+            rep = run_frontier(ds, DeaOptions())
+        except SolverFailure:
+            return
+        assert rep.results[41].pte == 1.0
+
+
+def eight_decade_dataset(seed):
+    """60 units with 4 inputs and 4 outputs, every entry 10^U(0, 8)."""
+    rng = np.random.default_rng(seed)
+    X = 10 ** rng.uniform(0, 8, (60, 4))
+    Y = 10 ** rng.uniform(0, 8, (60, 4))
+    return Dataset(
+        tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60)),
+        tuple(f"in{i}" for i in range(4)),
+        tuple(f"out{o}" for o in range(4)),
+    )
 
 
 def scores_for(ds, opts_list=(CRS, VRS)):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effx.dataset import Dataset, DmuRecord
@@ -11,15 +11,18 @@ from effx.lp import (
     EQ,
     GE,
     LE,
+    LpError,
     LpOptions,
     LpProblem,
     LpSolution,
     LpStatus,
+    NumericalBreakdown,
     _lockstep,
+    _solve,
+    _Tableau,
     solve_lp,
-    check_solution,
 )
-from oracles import degenerate_lp, random_bounded_lp, vertex_minimum
+from oracles import check_solution, degenerate_lp, exact_minimum, random_bounded_lp, vertex_minimum
 
 
 def simple(c, A, rels, b):
@@ -71,6 +74,11 @@ class TestBasics:
             cx = float(p.c @ sol.x)
             assert abs(sol.objective_value - cx) <= 1e-9 * (1.0 + abs(cx))
 
+    def test_no_rows(self):
+        sol = solve_lp(LpProblem(c=[1.0, 2.0], A=np.zeros((0, 2)), relations=(), b=np.zeros(0)))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == 0.0 and sol.duals.shape == (0,)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             simple([np.inf], [[1.0]], (LE,), [1.0])
@@ -104,16 +112,48 @@ class TestDegeneracy:
             assert sol.iterations <= LpOptions().max_iterations
 
 
-class TestRefine:
-    def test_singular_refactor_gives_no_duals(self, monkeypatch):
+def eight_decade_envelopment(seed, j, rts):
+    """Unit j's full-column envelopment program on 60 units with 4 inputs
+    and 4 outputs, every entry drawn as 10^U(0, 8)."""
+    rng = np.random.default_rng(seed)
+    X, Y = 10 ** rng.uniform(0, 8, (60, 4)), 10 ** rng.uniform(0, 8, (60, 4))
+    units = tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60))
+    ds = Dataset(units, ("i0", "i1", "i2", "i3"), ("o0", "o1", "o2", "o3"))
+    return build_envelopment_lp(ds, j, DeaOptions(rts))
+
+
+class TestCertificate:
+    def test_singular_refactor_raises(self, monkeypatch):
+        # no basis can be factored, so no optimum can be certified, in
+        # the Dantzig attempt or in the Bland retry
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        sol = solve_lp(simple([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0]))
+        with pytest.raises(NumericalBreakdown, match="optimum fails its certificate"):
+            solve_lp(simple([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0]))
+
+    def test_suboptimal_vertex_is_not_returned(self):
+        # seed 33, u50, VRS: the Dantzig attempt stops at theta =
+        # 0.0824229137, which fails the certificate (see TestCheckSolution);
+        # the Bland retry reaches theta = 0, which fails it too
+        p = eight_decade_envelopment(33, 50, Rts.VRS)
+        try:
+            sol = solve_lp(p)
+        except NumericalBreakdown:
+            return
+        assert sol.objective_value == pytest.approx(0.0823678223, rel=1e-9)
+
+    def test_redundant_row_keeps_its_artificial(self):
+        # the second row repeats the first, so phase 1 leaves an artificial
+        # basic on one of them at zero; it is not priced and the optimum
+        # is certified
+        p = simple([1.0, 1.0], [[1.0, 2.0], [1.0, 2.0]], (EQ, EQ), [2.0, 2.0])
+        sol = solve_lp(p)
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.duals is None
-        np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-12)
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert max(sol.basis) >= p.n_vars  # no slack on = rows: an artificial
+        assert check_solution(p, sol)
 
 
 class TestCheckSolution:
@@ -152,16 +192,14 @@ class TestCheckSolution:
         assert check_solution(p, replace(sol, duals=sign * np.array([2.0, 2.0, -1.0]))) is False
 
     def test_rejects_suboptimal_vertex_on_eight_decades(self):
-        # Entries spanning eight decades: the full-column VRS solve of unit
-        # u50 stops at theta = 0.0824229137 (exact 0.0823678223) with a
-        # dual of -4.05e-10 on the >= row of input 0, -0.0116 once that row
-        # is equilibrated. Every reduced cost of a structural column passes.
-        rng = np.random.default_rng(33)
-        X, Y = 10 ** rng.uniform(0, 8, (60, 4)), 10 ** rng.uniform(0, 8, (60, 4))
-        units = tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(60))
-        ds = Dataset(units, ("i0", "i1", "i2", "i3"), ("o0", "o1", "o2", "o3"))
-        p = build_envelopment_lp(ds, 50, DeaOptions(Rts.VRS))
-        sol = solve_lp(p)
+        # Entries spanning eight decades: the Dantzig attempt on unit u50's
+        # full-column VRS program stops at theta = 0.0824229137 (exact
+        # 0.0823678223) with a dual of -4.05e-10 on the >= row of input 0,
+        # -0.0116 once that row is equilibrated. Every reduced cost of a
+        # structural column passes.
+        p = eight_decade_envelopment(33, 50, Rts.VRS)
+        sol, certified = _solve(p, _Tableau(p, LpOptions()), bland=False)
+        assert not certified
         assert sol.objective_value > 0.0823678223 * (1.0 + 1e-4)
         assert -0.012 < sol.duals[0] * np.abs(p.A[0]).max() < -0.011
         assert check_solution(p, sol) is False
@@ -188,6 +226,44 @@ class TestOracleEquivalence:
         status, ref, _ = vertex_minimum(p)
         assert status == "optimal"
         assert abs(sol.objective_value - ref) <= 1e-8 * (1.0 + abs(ref))
+
+
+def wide_envelopment(rng):
+    """One unit's envelopment program over 12 to 20 units with 1 to 4
+    inputs and outputs, every entry drawn as 10^U(0, 8)."""
+    n, m, s = int(rng.integers(12, 21)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    X, Y = 10 ** rng.uniform(0, 8, (n, m)), 10 ** rng.uniform(0, 8, (n, s))
+    units = tuple(DmuRecord(f"u{i}", "", tuple(X[i]), tuple(Y[i])) for i in range(n))
+    ds = Dataset(units, tuple(f"i{k}" for k in range(m)), tuple(f"o{k}" for k in range(s)))
+    return build_envelopment_lp(ds, int(rng.integers(0, n)), DeaOptions(rng.choice([Rts.CRS, Rts.VRS])))
+
+
+class TestCertifiedOptima:
+    @settings(max_examples=150)
+    @given(st.integers(0, 10**9), st.sampled_from(["bounded", "degenerate", "envelopment"]))
+    @example(251945, "envelopment")
+    def test_optimum_is_right_or_raises(self, seed, kind):
+        # Every draw is feasible and bounded: solve_lp reports its exact
+        # optimum, certified and with duals, or raises. In the example the
+        # Dantzig attempt ends at theta = 2.19e-6 (exact 2.25e-6) with a
+        # surplus of -4e-12 on a row whose activity is 7e-11: within an
+        # absolute feas_tol, so only the row-relative test rejects it.
+        rng = np.random.default_rng(seed)
+        p = {"bounded": random_bounded_lp, "degenerate": degenerate_lp, "envelopment": wide_envelopment}[kind](rng)
+        try:
+            sol = solve_lp(p)
+        except LpError:
+            return
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.duals is not None and sol.duals.shape == (p.n_rows,)
+        assert check_solution(p, sol)
+        exact = float(exact_minimum(p))
+        if kind == "envelopment":
+            assert sol.objective_value == pytest.approx(exact, rel=1e-9)
+        else:
+            assert abs(sol.objective_value - exact) <= 1e-9 * (1.0 + abs(exact))
+            _, ref, _ = vertex_minimum(p)
+            assert abs(sol.objective_value - ref) <= 1e-8 * (1.0 + abs(ref))
 
 
 def lockstep_program(rng, r, d):
