@@ -227,6 +227,8 @@ def _read_scores(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
 def _join_covariates(
     score_ids: list[str], cov_ids: list[str], cov: np.ndarray
 ) -> np.ndarray:
+    if score_ids == cov_ids:  # same ids in the same order: nothing to join
+        return cov
     index = {rid: i for i, rid in enumerate(cov_ids)}
     try:
         take = list(map(index.__getitem__, score_ids))

@@ -2,10 +2,14 @@
 
 The latent response is linear with normal errors; observations are clipped
 to [lower, upper]. The likelihood mixes density terms for interior rows
-with tail-probability terms for rows sitting on a limit. Fitting uses
-Newton iterations with a backtracking line search in (beta, log sigma),
-so the scale stays positive without constraints. Inference offers both
-inverse-Hessian and sandwich (heteroskedasticity-robust) covariances.
+with tail-probability terms for rows sitting on a limit. The interior rows
+form a Gaussian regression, so they enter the likelihood, score and Hessian
+through the sufficient statistics of one QR factorization of their design
+rows, computed once per sample; only rows on a limit are evaluated one by
+one at each point. Fitting uses Newton iterations with a backtracking line
+search in (beta, log sigma), so the scale stays positive without
+constraints. Inference offers both inverse-Hessian and sandwich
+(heteroskedasticity-robust) covariances.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from .numerics import (
     NotPositiveDefinite,
     chi_square_sf,
-    log_normal_cdf,
     log_normal_cdf_and_mills,
     log_normal_pdf,
     normal_cdf,
@@ -73,6 +76,28 @@ class CensorStatus(IntEnum):
     INTERIOR = 0
     AT_LOWER = 1
     AT_UPPER = 2
+
+
+class _RowSplit(NamedTuple):
+    """A sample's rows as the likelihood reads them.
+
+    The interior rows enter through a reduced QR X_in = Q R: with
+    r = Q'y_in - R beta their residual sum of squares is floor + |r|^2,
+    where floor = |y_in - Q Q'y_in|^2, so no O(N) pass and no
+    y'y - 2 beta'X'y + beta'X'X beta cancellation. All three come from
+    the R factor of [X_in y_in], so Q is never formed. A row on a limit
+    contributes log Phi(sign * (x'beta - limit) / sigma).
+    """
+
+    interior: np.ndarray  # indices of the interior rows
+    R: np.ndarray
+    qy: np.ndarray  # Q'y_in
+    floor: float
+    gram: np.ndarray  # R'R = X_in'X_in
+    rows: np.ndarray  # indices of the rows on a limit
+    X_lim: np.ndarray
+    sign: np.ndarray
+    limit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,17 +157,28 @@ class CensoredSample:
         return status
 
     @cached_property
-    def _row_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(interior rows, their responses, rows on a limit, sign, limit).
-
-        A row on a limit contributes log Phi(sign * (mean - limit) / sigma).
-        """
+    def _split(self) -> _RowSplit:
         interior = np.flatnonzero(self.censor_status == CensorStatus.INTERIOR)
+        k = self.k
+        if interior.size:
+            Rxy = np.linalg.qr(np.column_stack((self.X[interior], self.y[interior])), mode="r")
+        else:
+            Rxy = np.zeros((0, k + 1))
+        m = min(interior.size, k)
+        R = Rxy[:m, :k]
         rows = np.flatnonzero(self.censor_status != CensorStatus.INTERIOR)
         at_upper = self.censor_status[rows] == CensorStatus.AT_UPPER
-        sign = np.where(at_upper, 1.0, -1.0)
-        limit = np.where(at_upper, self.upper, self.lower)
-        return interior, self.y[interior], rows, sign, limit
+        return _RowSplit(
+            interior=interior,
+            R=R,
+            qy=Rxy[:m, k],
+            floor=float(Rxy[k, k] ** 2) if interior.size > k else 0.0,
+            gram=R.T @ R,
+            rows=rows,
+            X_lim=self.X[rows],
+            sign=np.where(at_upper, 1.0, -1.0),
+            limit=np.where(at_upper, self.upper, self.lower),
+        )
 
     def column_names(self) -> tuple[str, ...]:
         if self.names is not None:
@@ -174,6 +210,7 @@ class TobitFit:
     converged: bool
     sample: CensoredSample
     loglik_path: tuple[float, ...]
+    halvings: int = 0  # line-search step halvings over all iterations
 
     @property
     def k(self) -> int:
@@ -191,63 +228,64 @@ class PseudoR2(NamedTuple):
     variant: str  # "mcfadden" or "squared_correlation"
 
 
-def _loglik_rows(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray:
-    """Per-row log likelihood: the first output of ``_terms`` alone."""
-    interior, y_in, rows, sign, limit = s._row_split
-    mean = s.X @ beta
-    ll = np.empty(s.n_obs)
-    ll[interior] = log_normal_pdf((y_in - mean[interior]) / sigma) - np.log(sigma)
-    if rows.size:
-        ll[rows] = log_normal_cdf(sign * (mean[rows] - limit) / sigma)
-    return ll
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _terms(s: CensoredSample, beta: np.ndarray, sigma: float):
-    """Per-row likelihood pieces and derivative weights in (beta, log sigma).
+    """Per-row log likelihood and score multipliers in (beta, log sigma).
 
-    Returns (ll_rows, s_b, s_t, w_bb, w_bt, w_tt) where s_b and w_* are the
-    row multipliers applied to the design matrix when assembling the score
-    and Hessian. Both censored sides go through one pass: a row on a limit
-    has a = sign * (mean - limit) / sigma and likelihood Phi(a).
+    Returns (ll_rows, s_b, s_t); a row's score is (s_b * x, s_t). A row on
+    a limit has a = sign * (mean - limit) / sigma and likelihood Phi(a).
     """
-    interior, y_in, rows, sign, limit = s._row_split
+    sp = s._split
     mean = s.X @ beta
     n = s.n_obs
     ll = np.empty(n)
     s_b = np.empty(n)
     s_t = np.empty(n)
-    w_bb = np.empty(n)
-    w_bt = np.empty(n)
-    w_tt = np.empty(n)
 
-    z = (y_in - mean[interior]) / sigma
-    ll[interior] = log_normal_pdf(z) - np.log(sigma)
-    s_b[interior] = z / sigma
-    s_t[interior] = z * z - 1.0
-    w_bb[interior] = -1.0 / sigma**2
-    w_bt[interior] = -2.0 * z / sigma
-    w_tt[interior] = -2.0 * z * z
+    z = (s.y[sp.interior] - mean[sp.interior]) / sigma
+    ll[sp.interior] = log_normal_pdf(z) - np.log(sigma)
+    s_b[sp.interior] = z / sigma
+    s_t[sp.interior] = z * z - 1.0
 
-    if rows.size:
-        a = sign * (mean[rows] - limit) / sigma
+    if sp.rows.size:
+        a = sp.sign * (mean[sp.rows] - sp.limit) / sigma
         log_cdf, ratio = log_normal_cdf_and_mills(a)  # ratio = phi/Phi
-        dratio = -a * ratio - ratio * ratio  # second derivative of log Phi
-        ll[rows] = log_cdf
-        s_b[rows] = sign * ratio / sigma
-        s_t[rows] = -a * ratio
-        w_bb[rows] = dratio / sigma**2
-        w_bt[rows] = -sign * (a * dratio + ratio) / sigma
-        w_tt[rows] = a * ratio + a * a * dratio
+        ll[sp.rows] = log_cdf
+        s_b[sp.rows] = sp.sign * ratio / sigma
+        s_t[sp.rows] = -a * ratio
 
-    return ll, s_b, s_t, w_bb, w_bt, w_tt
+    return ll, s_b, s_t
+
+
+def _point_terms(s: CensoredSample, beta: np.ndarray, sigma: float):
+    """Log likelihood at (beta, sigma) and the pieces of it that the score
+    and Hessian there reuse.
+
+    The interior rows cost O(k^2) through their sufficient statistics
+    (see _RowSplit): with tau = log sigma they add
+    -n_in (tau + log(2 pi) / 2) - RSS / (2 sigma^2). Only the rows on a
+    limit are evaluated one by one.
+    """
+    sp = s._split
+    r = sp.qy - sp.R @ beta
+    rss = sp.floor + float(r @ r)
+    a = sp.sign * (sp.X_lim @ beta - sp.limit) / sigma
+    log_cdf, ratio = log_normal_cdf_and_mills(a)  # ratio = phi/Phi
+    ll = float(
+        -sp.interior.size * (np.log(sigma) + _HALF_LOG_2PI)
+        - rss / (2.0 * sigma * sigma)
+        + log_cdf.sum()
+    )
+    return ll, (sigma, r, rss, a, ratio)
 
 
 def log_likelihood(s: CensoredSample, beta: np.ndarray, sigma: float) -> float:
     """Censored-normal log likelihood, computed in the log domain."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    beta = np.asarray(beta, dtype=float)
-    total = float(_loglik_rows(s, beta, sigma).sum())
+    total = _point_terms(s, np.asarray(beta, dtype=float), sigma)[0]
     if not np.isfinite(total):
         raise NonFinite("log likelihood is not finite at this point")
     return total
@@ -260,23 +298,33 @@ def score_and_hessian(
     (beta, log sigma)."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    return _score_and_hessian(s, _terms(s, np.asarray(beta, dtype=float), sigma))
+    return _score_and_hessian(s, _point_terms(s, np.asarray(beta, dtype=float), sigma)[1])
 
 
 def _score_and_hessian(s: CensoredSample, terms) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian in (beta, log sigma) from the row terms of one
-    point (see _terms)."""
-    _, s_b, s_t, w_bb, w_bt, w_tt = terms
-    X = s.X
+    """Gradient and Hessian in (beta, log sigma) from the terms of one
+    point (see _point_terms).
+
+    Interior rows: d/dbeta = R'r / sigma^2, d/dtau = RSS / sigma^2 - n_in;
+    Hessian blocks -R'R / sigma^2, -2 R'r / sigma^2 and -2 RSS / sigma^2.
+    A row on a limit adds the derivatives of log Phi(a), whose second
+    derivative in a is dratio = -a ratio - ratio^2.
+    """
+    sigma, r, rss, a, ratio = terms
+    sp = s._split
+    X_lim, sign = sp.X_lim, sp.sign
     k = s.k
+    var = sigma * sigma
+    dratio = -a * ratio - ratio * ratio
+    rtr = sp.R.T @ r
     grad = np.empty(k + 1)
-    grad[:k] = X.T @ s_b
-    grad[k] = s_t.sum()
+    grad[:k] = rtr / var + X_lim.T @ (sign * ratio / sigma)
+    grad[k] = rss / var - sp.interior.size - float(a @ ratio)
     hess = np.empty((k + 1, k + 1))
-    hess[:k, :k] = X.T @ (w_bb[:, None] * X)
-    hess[:k, k] = X.T @ w_bt
+    hess[:k, :k] = X_lim.T @ ((dratio / var)[:, None] * X_lim) - sp.gram / var
+    hess[:k, k] = X_lim.T @ (-sign * (a * dratio + ratio) / sigma) - 2.0 * rtr / var
     hess[k, :k] = hess[:k, k]
-    hess[k, k] = w_tt.sum()
+    hess[k, k] = float(a @ ratio + (a * a) @ dratio) - 2.0 * rss / var
     if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
         raise NonFinite("score or Hessian is not finite at this point")
     return grad, hess
@@ -284,15 +332,14 @@ def _score_and_hessian(s: CensoredSample, terms) -> tuple[np.ndarray, np.ndarray
 
 def _row_scores(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray:
     """N x (k+1) matrix of per-row score contributions at (beta, log sigma)."""
-    _, s_b, s_t, *_ = _terms(s, beta, sigma)
+    _, s_b, s_t = _terms(s, beta, sigma)
     return np.hstack([s_b[:, None] * s.X, s_t[:, None]])
 
 
 def _safe_terms(s: CensoredSample, psi: np.ndarray):
-    """Log likelihood (-inf where not finite) and row terms at psi =
+    """Log likelihood (-inf where not finite) and point terms at psi =
     (beta, log sigma)."""
-    terms = _terms(s, psi[:-1], float(np.exp(psi[-1])))
-    total = float(terms[0].sum())
+    total, terms = _point_terms(s, psi[:-1], float(np.exp(psi[-1])))
     return (total if np.isfinite(total) else -np.inf), terms
 
 
@@ -318,15 +365,16 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
     tau = np.log(max(sigma0, 1e-8))
     psi = np.append(beta, tau)
 
-    # Each point's row terms give its log likelihood and then, once the
-    # point is accepted, the next step's score and Hessian; the Hessian of
-    # the last step is the one at the optimum.
+    # Each point's terms give its log likelihood and then, once the point
+    # is accepted, the next step's score and Hessian; the Hessian of the
+    # last step is the one at the optimum.
     ll, terms = _safe_terms(s, psi)
     if not np.isfinite(ll):
         raise NonFinite("log likelihood not finite at the starting point")
     path = [ll]
     rel_change: float | None = None
     iterations = 0
+    halvings = 0
 
     for iterations in range(1, opts.max_iterations + 1):
         grad, hess = _score_and_hessian(s, terms)
@@ -357,6 +405,7 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
                 accepted = True
                 break
             step *= 0.5
+            halvings += 1
         if not accepted:
             if gnorm < 10.0 * opts.gradient_tol:
                 break
@@ -383,6 +432,7 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
         converged=True,
         sample=s,
         loglik_path=tuple(path),
+        halvings=halvings,
     )
     result.cov_robust = robust_covariance(s, result)
     return result

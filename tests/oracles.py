@@ -4,9 +4,10 @@ None of these share code paths with the package: linear programs are
 solved by brute-force vertex enumeration, by an exact rational simplex or
 by HiGHS, and a reported optimum is checked on the problem's own rows by
 ``check_solution``; tail probabilities by quadrature, likelihoods by
-direct per-row evaluation in extended precision, gradients by central
-differences, and the CLI's covariate and score CSVs and the dataset CSV
-by ``csv.DictReader`` and one check per cell.
+direct per-row evaluation in extended precision, the Tobit likelihood,
+score and Hessian row by row, gradients by central differences, and the
+CLI's covariate and score CSVs and the dataset CSV by
+``csv.DictReader`` and one check per cell.
 """
 
 from __future__ import annotations
@@ -374,6 +375,45 @@ def tobit_loglik_reference(y, X, lower, upper, beta, sigma) -> float:
             z = (mpmath.mpf(float(yi)) - mean) / sigma
             total += mpmath.log(mpmath.npdf(z) / sigma)
     return float(total)
+
+
+def tobit_terms_by_row(y, X, lower, upper, beta, sigma):
+    """Each row's censored-normal log likelihood, score and Hessian in
+    (beta, log sigma): arrays of shape (N,), (N, k+1) and (N, k+1, k+1).
+
+    An interior row with z = (y - x'beta) / sigma adds log phi(z) - log
+    sigma; a row on a limit, with a = sign * (x'beta - limit) / sigma,
+    adds log Phi(a) through scipy's log_ndtr.
+    """
+    from scipy.special import log_ndtr
+
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    mean = X @ beta
+    at_lower, at_upper = y == lower, y == upper
+    inside = ~(at_lower | at_upper)
+    sign = np.where(at_upper, 1.0, -1.0)
+    a = sign * (mean - np.where(at_upper, upper, lower)) / sigma
+    z = (y - mean) / sigma
+    log_cdf = log_ndtr(a)
+    ratio = np.exp(-0.5 * a * a - 0.5 * math.log(2.0 * math.pi) - log_cdf)  # phi(a) / Phi(a)
+    dratio = -a * ratio - ratio * ratio
+
+    ll = np.where(inside, -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - math.log(sigma), log_cdf)
+    s_b = np.where(inside, z / sigma, sign * ratio / sigma)
+    s_t = np.where(inside, z * z - 1.0, -a * ratio)
+    w_bb = np.where(inside, -1.0 / sigma**2, dratio / sigma**2)
+    w_bt = np.where(inside, -2.0 * z / sigma, -sign * (a * dratio + ratio) / sigma)
+    w_tt = np.where(inside, -2.0 * z * z, a * ratio + a * a * dratio)
+
+    n, k = X.shape
+    score = np.column_stack([s_b[:, None] * X, s_t])
+    hess = np.empty((n, k + 1, k + 1))
+    hess[:, :k, :k] = w_bb[:, None, None] * X[:, :, None] * X[:, None, :]
+    hess[:, :k, k] = w_bt[:, None] * X
+    hess[:, k, :k] = hess[:, :k, k]
+    hess[:, k, k] = w_tt
+    return ll, score, hess
 
 
 class NonFiniteEvaluation(Exception):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -194,6 +195,37 @@ class TestDeaCommand:
 FIXTURE_BYTES = serialize_dataset(bundled_fixture()).encode("utf-8")
 
 
+def run_on_damaged(files: dict[str, bytes], argv: list[str], codes=(0, 3)) -> tuple[int, str]:
+    """Write files into a fresh directory and run effx with each "{name}"
+    in argv replaced by that file's path. It exits with one of codes, and
+    on exit 3 with empty stdout and one ``effx: <Error>: ...`` line on
+    stderr; it never lets a traceback out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        code, out, err = invoke([str(Path(tmp) / a[1:-1]) if a[:1] == "{" else a for a in argv])
+    assert code in codes, (code, err)
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == ""
+        assert re.fullmatch(r"effx: \w+: [^\n]*\n", err), err
+    return code, err
+
+
+def splice_high_bytes(data: bytes, splices) -> bytes:
+    """data with each (position, raw) splice inserted as bytes >= 0x80."""
+    for pos, raw in sorted(splices, reverse=True):
+        data = data[:pos] + bytes(0x80 | v for v in raw) + data[pos:]
+    return data
+
+
+def assert_undecodable_exits_3(data: bytes, code: int, err: str):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 3 and err.startswith("effx: UnicodeDecodeError: "), err
+
+
 @pytest.mark.filterwarnings("ignore:dataset has n")
 class TestDeaExitCodes:
     """effx dea --input on a damaged copy of the fixture CSV exits 0, or 3
@@ -202,16 +234,7 @@ class TestDeaExitCodes:
 
     @staticmethod
     def dea(data: bytes) -> tuple[int, str]:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.csv"
-            path.write_bytes(data)
-            code, out, err = invoke(["dea", "--input", str(path)])
-        assert code in (0, 3), (code, err)
-        assert "Traceback" not in err
-        if code == 3:
-            assert out == ""
-            assert re.fullmatch(r"effx: \w+: [^\n]*\n", err), err
-        return code, err
+        return run_on_damaged({"data.csv": data}, ["dea", "--input", "{data.csv}"])
 
     @settings(max_examples=60)
     @given(st.integers(0, len(FIXTURE_BYTES)))
@@ -223,14 +246,54 @@ class TestDeaExitCodes:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(0, len(FIXTURE_BYTES)), st.binary(min_size=1, max_size=3)), min_size=1, max_size=3))
     def test_non_utf8_bytes(self, splices):
-        data = FIXTURE_BYTES
-        for pos, raw in sorted(splices, reverse=True):
-            data = data[:pos] + bytes(0x80 | v for v in raw) + data[pos:]
-        code, err = self.dea(data)
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            assert code == 3 and err.startswith("effx: UnicodeDecodeError: "), err
+        data = splice_high_bytes(FIXTURE_BYTES, splices)
+        assert_undecodable_exits_3(data, *self.dea(data))
+
+
+@functools.cache
+def regression_inputs() -> dict[str, bytes]:
+    """The fixture's scores as ``effx dea`` writes them, and covariates
+    for its 30 ids."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scores, covs = Path(tmp) / "scores.csv", Path(tmp) / "covs.csv"
+        assert invoke(["dea", "--fixture", "--out", str(scores)])[0] == 0
+        write_covariates(covs, [rec.id for rec in bundled_fixture().dmus], seed=4)
+        return {"scores.csv": scores.read_bytes(), "covs.csv": covs.read_bytes()}
+
+
+class TestRegressionExitCodes:
+    """The damaged copies of TestDeaExitCodes, made of the score or the
+    covariate file of effx tobit and of the covariate file of effx
+    pipeline. A shortened score file may also leave too few rows to fit,
+    which exits 4."""
+
+    TARGETS = {
+        "tobit-input": ("scores.csv", ["tobit", "--input", "{scores.csv}", "--covariates", "{covs.csv}"], (0, 3, 4)),
+        "tobit-covariates": ("covs.csv", ["tobit", "--input", "{scores.csv}", "--covariates", "{covs.csv}"], (0, 3)),
+        "pipeline-covariates": ("covs.csv", ["pipeline", "--fixture", "--covariates", "{covs.csv}"], (0, 3)),
+    }
+
+    def run_damaged(self, target: str, damage) -> tuple[bytes, int, str]:
+        name, argv, codes = self.TARGETS[target]
+        files = dict(regression_inputs())
+        files[name] = damage(files[name])
+        return files[name], *run_on_damaged(files, argv, codes)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_truncated_file(self, target, data):
+        self.run_damaged(target, lambda raw: raw[: data.draw(st.integers(0, len(raw)), label="cut")])
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_non_utf8_bytes(self, target, data):
+        def damage(raw):
+            where = st.tuples(st.integers(0, len(raw)), st.binary(min_size=1, max_size=3))
+            return splice_high_bytes(raw, data.draw(st.lists(where, min_size=1, max_size=3), label="splices"))
+
+        assert_undecodable_exits_3(*self.run_damaged(target, damage))
 
 
 class TestSummaryCommand:
@@ -297,6 +360,21 @@ class TestTobitCommand:
         ]
         assert "wald_stat_df6" in variables
         assert "pseudo_r2" in variables
+
+    def test_covariate_row_order_does_not_matter(self, tmp_path):
+        files = regression_inputs()
+        scores, covs = tmp_path / "scores.csv", tmp_path / "covs.csv"
+        scores.write_bytes(files["scores.csv"])
+        header, *rows = files["covs.csv"].decode("utf-8").splitlines()
+        argv = ["tobit", "--input", str(scores), "--covariates", str(covs)]
+        results = []
+        for order in (rows, rows[::-1], rows[1:] + rows[:1], rows[:-1]):
+            covs.write_text("\n".join([header, *order]) + "\n", "utf-8")
+            results.append(invoke(argv))
+        assert results[0][0] == 0
+        assert results[1] == results[0] and results[2] == results[0]
+        missing = rows[-1].split(",")[0]
+        assert results[3] == (3, "", f"effx: InvalidDataset: covariates file has no row for id {missing!r}\n")
 
     def test_invalid_sustainability_exits_3(self, tmp_path):
         scores = tmp_path / "scores.csv"

@@ -26,7 +26,13 @@ from effx.tobit import (
     score_and_hessian,
     wald_test,
 )
-from oracles import fd_gradient, log_normal_cdf_mp, normal_cdf_mp, tobit_loglik_reference
+from oracles import (
+    fd_gradient,
+    log_normal_cdf_mp,
+    normal_cdf_mp,
+    tobit_loglik_reference,
+    tobit_terms_by_row,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -64,6 +70,49 @@ class TestSampleValidation:
             CensoredSample(y=np.array([0.5]), X=np.ones((1, 1)), lower=lower, upper=upper)
 
 
+_ORACLE_CASES = (
+    "random",
+    "fewer_interior_than_columns",
+    "one_interior_row",
+    "one_row_on_a_limit",
+    "no_interior_row",
+    "limits_far_from_zero",
+    "near_collinear",
+)
+
+
+def _oracle_case(rng, case):
+    """A sample of the named shape, in shuffled row order, and a point
+    (beta, sigma) near it."""
+    lower, upper = (1000.0, 1001.0) if case == "limits_far_from_zero" else (0.0, 1.0)
+    k = int(rng.integers(2, 6))
+    n_in = int(rng.integers(k + 1, 40))
+    n_lim = int(rng.integers(0, 20))
+    if case == "fewer_interior_than_columns":
+        n_in = int(rng.integers(1, k))
+    elif case == "one_interior_row":
+        n_in, n_lim = 1, int(rng.integers(1, 30))
+    elif case == "one_row_on_a_limit":
+        n_lim = 1
+    elif case == "no_interior_row":
+        n_in, n_lim = 0, int(rng.integers(1, 30))
+    n = n_in + n_lim
+    X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, k - 1))])
+    if case == "near_collinear":
+        X[:, -1] = X[:, 1] + 1e-7 * rng.standard_normal(n)
+    width = upper - lower
+    y = np.concatenate(
+        [
+            lower + width * rng.uniform(0.01, 0.99, n_in),
+            np.where(rng.uniform(size=n_lim) < 0.5, lower, upper),
+        ]
+    )
+    perm = rng.permutation(n)
+    s = CensoredSample(y=y[perm], X=X[perm], lower=lower, upper=upper)
+    beta = np.append(lower + 0.5 * width + rng.normal(0.0, 0.3), rng.normal(0.0, 0.5, k - 1))
+    return s, beta, float(width * rng.uniform(0.1, 1.5))
+
+
 class TestLogLikelihood:
     def test_interior_row_at_mean(self):
         s = CensoredSample(y=np.array([0.5]), X=np.ones((1, 1)))
@@ -92,12 +141,24 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(s, np.array([0.5]), 0.0)
 
-    def test_loglik_rows_equal_the_full_terms(self):
-        s = simulate(np.random.default_rng(4), n=60)
-        beta, sigma = np.array([0.35, 0.45, -0.15]), 0.27
-        np.testing.assert_array_equal(
-            effx.tobit._loglik_rows(s, beta, sigma), effx.tobit._terms(s, beta, sigma)[0]
-        )
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.sampled_from(_ORACLE_CASES))
+    def test_likelihood_score_and_hessian_match_the_row_oracle(self, seed, case):
+        # Each total is compared with the oracle's row sum, relative to the
+        # sum of the rows' magnitudes; the sandwich's per-row pieces too.
+        s, beta, sigma = _oracle_case(np.random.default_rng(seed), case)
+        ll_rows, score_rows, hess_rows = tobit_terms_by_row(s.y, s.X, s.lower, s.upper, beta, sigma)
+        grad, hess = score_and_hessian(s, beta, sigma)
+        for got, rows in (
+            (log_likelihood(s, beta, sigma), ll_rows),
+            (grad, score_rows),
+            (hess, hess_rows),
+        ):
+            assert (np.abs(got - rows.sum(axis=0)) <= 1e-10 * np.abs(rows).sum(axis=0)).all()
+        ll_each, *_ = effx.tobit._terms(s, beta, sigma)
+        row_scores = effx.tobit._row_scores(s, beta, sigma)
+        np.testing.assert_allclose(ll_each, ll_rows, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(row_scores, score_rows, rtol=1e-10, atol=1e-12)
 
 
 def _sides_sample():
@@ -216,6 +277,18 @@ class TestFit:
         assert np.abs(est.beta - ols).max() < 1e-8
         resid = y - X @ ols
         assert est.sigma**2 == pytest.approx(float(np.mean(resid**2)), abs=1e-8)
+
+    def test_far_start_records_line_search_halvings(self):
+        # One high-leverage row on the upper limit pulls the least-squares
+        # start far from the optimum, so the first Newton steps overshoot.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, 40)
+        x[0] = 20.0
+        X = np.column_stack([np.ones(40), x])
+        y = np.clip(0.3 + 0.4 * x + rng.normal(0, 0.2, 40), 0.0, 1.0)
+        est = fit(CensoredSample(y=y, X=X))
+        assert est.converged
+        assert est.halvings >= 1
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(11)
