@@ -55,15 +55,16 @@ join the frame after each pass over the block. No program starts cold
 when it can help it. A first solve starts at its best single frame peer
 (see _Frame._one_peer), a feasible vertex that skips phase 1. A re-solve
 starts at its own certified optimum, which the added columns leave
-primal feasible (restricted basis entry again). A program the lockstep
-cannot finish (a stall, a pivot below tolerance, a basis that fails its
-certificate) is scored on its own by solve_lp over frame + {j} as above.
-Both paths certify every optimum they return with the same check
-(lp._certify), so the duals that price the other units always exist; a
-unit that neither path can certify raises SolverFailure. Results keep
-the CRS peers sparsely (the nonzero intensity weights and their units).
-efficiency() and the intensity-sum LP always use solve_lp over all
-columns.
+primal feasible (restricted basis entry again). A program that stalls
+turns to Bland's rule inside the lockstep, as solve_lp does. One the
+lockstep cannot finish (a pivot below tolerance, the pivot cap, a basis
+that fails its certificate) is scored by solve_lp over all columns, the
+solve efficiency() makes, and its peers join the frame, so the argument
+above holds for it too. Both paths certify every optimum they return
+with the same check (lp._certify); a unit that neither can certify
+raises SolverFailure. Results keep the CRS peers sparsely (the nonzero
+intensity weights and their units). efficiency() and the intensity-sum
+LP always use solve_lp over all columns.
 """
 
 from __future__ import annotations
@@ -163,12 +164,9 @@ class FrontierReport:
     mean_pte: float
 
 
-def build_envelopment_lp(
-    ds: Dataset, j: int, opts: DeaOptions, cols: np.ndarray | None = None
-) -> LpProblem:
-    """Envelopment program for unit j: variables (theta, lambda_k for k in
-    cols), with cols the ascending unit indices that may serve as peers
-    (None means all n units; a subset must contain j).
+def build_envelopment_lp(ds: Dataset, j: int, opts: DeaOptions) -> LpProblem:
+    """Envelopment program for unit j: variables (theta, lambda_k for each
+    of the n units).
 
     Rows: theta * x_ij - sum_k lambda_k x_ik >= 0 for each input i,
     sum_k lambda_k y_ok >= y_oj for each output o, plus the convexity row
@@ -179,8 +177,6 @@ def build_envelopment_lp(
     X = ds.input_matrix
     Y = ds.output_matrix
     x_j, y_j = X[j], Y[j]
-    if cols is not None:
-        X, Y = X[cols], Y[cols]
     k, m = X.shape
     s = Y.shape[1]
     vrs = opts.returns_to_scale is Rts.VRS
@@ -235,10 +231,11 @@ class _Frame:
     """Working set of known peers under one returns assumption.
 
     solve_block scores a block of units at once over the frame plus the
-    block; solve scores one unit over the frame plus itself, pricing the
-    other units with the solve's duals and repeating with the ones that
-    price out until none does. The peers of every solve join the frame.
-    See the module docstring for the seeds and the exactness argument.
+    block, pricing the units of later blocks with each optimum's duals and
+    solving again with the ones that price out until none does; settle
+    scores one unit the lockstep left over all columns. The peers of
+    every solve join the frame. See the module docstring for the seeds
+    and the exactness argument.
     """
 
     def __init__(self, ds: Dataset, opts: DeaOptions):
@@ -252,20 +249,16 @@ class _Frame:
             seeds += [X.argmin(axis=0), Y.argmax(axis=0)]
         self.mask = np.zeros(n, dtype=bool)
         self.mask[np.concatenate(seeds)] = True
-        # Row k is minus unit k's LP column (constraint rows in order), so
-        # the reduced cost of lambda_k is price @ duals.
-        self.price = np.hstack([X, -Y] + ([np.full((n, 1), -1.0)] if vrs else []))
-        self.price_abs = np.abs(self.price)
         # Every program's rows, equilibrated once by their largest entry
         # over all units: the inputs negated into "<= 0" (slack +1), the
         # outputs ">= y_o" (surplus -1), then convexity "= 1". Row k of
-        # lp_cols is unit k's column in them; row_dual maps their duals
-        # back to the rows of build_envelopment_lp.
-        scale = self.price_abs.max(axis=0)
+        # lp_cols is unit k's column in them, so with a program's duals y
+        # the reduced cost of lambda_k is -lp_cols[k] @ y.
+        cols = np.hstack([X, Y] + ([np.ones((n, 1))] if vrs else []))
+        scale = cols.max(axis=0)
         scale[scale == 0.0] = 1.0
-        self.lp_cols = self.price_abs / scale
+        self.lp_cols = cols / scale
         self.is_input = np.arange(scale.size) < ds.m
-        self.row_dual = np.where(self.is_input, -1.0, 1.0) / scale
         k = ds.m + ds.s
         self.slacks = np.zeros((scale.size, k))
         self.slacks[np.arange(k), np.arange(k)] = np.where(self.is_input[:k], 1.0, -1.0)
@@ -276,7 +269,7 @@ class _Frame:
         """Score the units of block in lockstep (see lp._lockstep) over the
         frame plus the block, then again over those columns plus the units
         that priced out, for the units that had any, until none has. None
-        marks a unit that _lockstep left to solve_lp: solve settles it.
+        marks a unit that _lockstep left to solve_lp: settle scores it.
 
         A first solve starts from its best one-peer vertex where a frame
         peer covers the unit (see _one_peer), a re-solve from its own
@@ -289,7 +282,7 @@ class _Frame:
         cols[units] = True
         idx = np.flatnonzero(cols)
         start = self._one_peer(units, idx)
-        price, price_abs = self.price[block.stop :], self.price_abs[block.stop :]
+        later = self.lp_cols[block.stop :]
         while units.size:
             N = np.hstack([np.zeros((rows, 1)), self.lp_cols[idx].T, self.slacks])
             slack = np.where(np.arange(rows) < k, 1 + idx.size + np.arange(rows), -1)
@@ -298,9 +291,8 @@ class _Frame:
             rhs = np.where(self.is_input, 0.0, own)
 
             ok, basis, x, y = _lockstep(N, theta, rhs, slack, start)
-            duals = y * self.row_dual
-            tol = LpOptions.opt_tol * (1.0 + price_abs @ np.abs(duals).T)
-            enter = (price @ duals.T < -tol) & ~cols[block.stop :, None]
+            tol = LpOptions.opt_tol * (1.0 + later @ np.abs(y).T)
+            enter = (later @ y.T > tol) & ~cols[block.stop :, None]
             priced = ok & enter.any(axis=0)
             done = ok & ~priced
             # Each optimum's lambda columns in ascending unit order, padded
@@ -378,22 +370,12 @@ class _Frame:
         start[np.isinf(theta[b, p]), 0] = -1
         return start
 
-    def solve(self, j: int) -> _Solve:
-        ds, opts = self.ds, self.opts
-        cols = self.mask.copy()
-        cols[j] = True
-        while True:
-            idx = np.flatnonzero(cols)
-            sol = _solve(ds, j, build_envelopment_lp(ds, j, opts, idx), "envelopment")
-            y = sol.duals
-            tol = LpOptions.opt_tol * (1.0 + self.price_abs @ np.abs(y))
-            enter = (self.price @ y < -tol) & ~cols
-            if not enter.any():
-                break
-            cols |= enter
-        lam = sol.x[1:]
-        self.mask[idx[lam > 0.0]] = True
-        return _Solve(float(sol.objective_value), idx, lam)
+    def settle(self, j: int) -> _Solve:
+        """Score unit j over all columns, as efficiency() does; its peers
+        join the frame, as those of every solve_block optimum do."""
+        sol = _solve_envelopment(self.ds, j, self.opts)
+        self.mask[sol.lam > 0.0] = True
+        return sol
 
 
 def efficiency(ds: Dataset, j: int, opts: DeaOptions) -> float:
@@ -505,8 +487,8 @@ def run_frontier(ds: Dataset, opts: DeaOptions) -> FrontierReport:
         block = range(start, min(start + _BLOCK, ds.n))
         crs, vrs = crs_frame.solve_block(block), vrs_frame.solve_block(block)
         for j, c, v in zip(block, crs, vrs):
-            c = c or crs_frame.solve(j)
-            theta_vrs = (v or vrs_frame.solve(j)).theta
+            c = c or crs_frame.settle(j)
+            theta_vrs = (v or vrs_frame.settle(j)).theta
             results.append(_result(ds, j, c, theta_vrs, opts))
 
     return FrontierReport(

@@ -15,11 +15,10 @@ with: many programs that share all columns but one, solved together by a
 revised simplex with the same pricing and ratio test, one pivot per
 program per pass. A program may come with a start basis; one that is
 nonsingular and primal feasible skips phase 1. A program that finishes a
-phase makes a no-op pivot in that pass while the others pivot. Its
-optima pass the same certificate as solve_lp's. It keeps no Bland's
-rule: a program that stalls, meets only tiny pivots or ends with a basis
-that fails the certificate is reported back for solve_lp to settle, and
-the others of its call are not.
+phase makes a no-op pivot in that pass while the others pivot. Each
+program follows solve_lp's pivot rule, and its optima pass the same
+certificate. One that meets only tiny pivots, reaches the pivot cap or
+fails the certificate is reported back for solve_lp to settle.
 """
 
 from __future__ import annotations
@@ -451,17 +450,20 @@ def _lockstep(
     slack where that is feasible and on an artificial otherwise. Pricing
     is Dantzig's over the columns of N, the ratio test breaks ties by the
     smallest basic index, and artificials left basic after phase 1 are
-    pivoted out. Each pivot is one rank-1 update of the program's
-    [B^-1 | x_B]. A program that ends a phase makes a no-op pivot in that
-    pass while the others go on. The optimal bases are refactored for x_B
-    and the duals, and certified (see _certify).
+    pivoted out. After stall_threshold pivots in a row that do not better
+    its best objective, a program turns to Bland's rule (Bland 1977, Math.
+    Oper. Res. 2) until its objective improves or its phase ends. Each
+    pivot is one rank-1 update of the program's [B^-1 | x_B]. A program
+    that ends a phase makes a no-op pivot in that pass while the others
+    go on. The optimal bases are refactored for x_B and the duals, and
+    certified (see _certify).
 
     Returns (ok, basis, x_B, y), basis indexing N's columns (0 is the
-    program's own). ok is False for a program that made stall_threshold
-    pivots in a row without bettering its best objective or more than
-    max_iterations pivots, met only pivots below pivot_tol, ended anything
-    but optimal, kept an artificial, or whose basis fails the certificate;
-    solve_lp settles those. x_B and y are zero where ok is False.
+    program's own). ok is False for a program that made more than
+    max_iterations pivots, found no pivot above pivot_tol, ended phase 1
+    infeasible, kept an artificial, or whose basis is singular or fails
+    the certificate; solve_lp settles those. x_B and y are zero where ok
+    is False.
     """
     L, r = rhs.shape
     d = N.shape[1]
@@ -492,6 +494,7 @@ def _lockstep(
     cB = np.where(phase2[:, None], basis == 0, basis >= d).astype(float)
     prev = (cB * T[:, :, r]).sum(1)
     stall = np.zeros(L, dtype=int)
+    bland = np.zeros(L, dtype=bool)
     iters = np.zeros(L, dtype=int)
     live = np.arange(L)  # the program of each row of the working arrays
     own = theta.copy()  # each live program's own column
@@ -509,7 +512,8 @@ def _lockstep(
         y = (cB[:, None, :] @ Binv)[:, 0]
         rc = y @ negN
         rc[:, 0] = phase2 - (y * own).sum(1)
-        enter = rc.argmin(1)
+        # Under Bland's rule, the first column that prices out (0 if none)
+        enter = np.where(bland, (rc < -opts.opt_tol).argmax(1), rc.argmin(1))
         k = np.arange(live.size)
         done = rc[k, enter] >= -opts.opt_tol
         col = entering(enter, own, Binv)
@@ -537,7 +541,8 @@ def _lockstep(
         improved = obj < prev - 1e-12 * (1.0 + np.abs(prev))
         stall = np.where(improved, 0, stall + 1)
         prev = np.where(improved, obj, prev)
-        drop = stuck | (stall >= opts.stall_threshold) | (iters > opts.max_iterations)
+        bland = ~improved & (bland | (stall >= opts.stall_threshold))
+        drop = stuck | (iters > opts.max_iterations)
 
         if done.any():
             # Record the optima; start phase 2 where phase 1 ends feasible.
@@ -562,11 +567,13 @@ def _lockstep(
                 cB[i] = basis[i] == 0
                 prev[i] = xB[i] @ cB[i]
                 stall[i] = 0
+                bland[i] = False
 
         if drop.any():
             keep = ~drop
             live, own, T, basis, cB = live[keep], own[keep], T[keep], basis[keep], cB[keep]
             phase2, prev, stall, iters = phase2[keep], prev[keep], stall[keep], iters[keep]
+            bland = bland[keep]
 
     x = np.zeros((L, r))
     y = np.zeros((L, r))

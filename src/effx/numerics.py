@@ -15,7 +15,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PD_TOL",
     "chi_square_sf",
-    "log_normal_cdf",
     "log_normal_cdf_and_mills",
     "log_normal_pdf",
     "normal_cdf",
@@ -77,12 +76,6 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _log_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Phi(-|z|) and erfcx(|z| / sqrt 2), from one kernel evaluation."""
-    e = _erfcx(np.abs(z) / _SQRT_2)
-    return np.log(0.5 * e) - 0.5 * z * z, e
-
-
 def normal_cdf(z):
     """Standard normal CDF Phi(z) via the scaled complementary error function.
 
@@ -102,19 +95,6 @@ def normal_cdf(z):
     return float(out) if out.ndim == 0 else out
 
 
-def log_normal_cdf(z):
-    """log Phi(z) without underflow; usable far into the left tail.
-
-    For z < 0 it is -z**2/2 + log(erfcx(-z / sqrt 2) / 2), finite for every
-    finite z.
-    """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):  # log(0) at z = +-inf
-        log_tail, _ = _log_tail(z)
-    out = np.where(z < 0.0, log_tail, np.log1p(-np.exp(log_tail)))
-    return float(out) if out.ndim == 0 else out
-
-
 def log_normal_cdf_and_mills(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log Phi(z) and the inverse Mills ratio phi(z) / Phi(z) for a finite array z.
 
@@ -122,7 +102,8 @@ def log_normal_cdf_and_mills(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sqrt(2/pi) / e for z < 0, and that times q / (1 - q) for z >= 0, with
     q = Phi(-z) = exp(-z**2/2) e / 2.
     """
-    log_tail, e = _log_tail(z)
+    e = _erfcx(np.abs(z) / _SQRT_2)
+    log_tail = np.log(0.5 * e) - 0.5 * z * z  # log Phi(-|z|)
     q = np.exp(log_tail)
     left = z < 0.0
     log_cdf = np.where(left, log_tail, np.log1p(-q))

@@ -61,7 +61,7 @@ class NonFinite(Exception):
 
 
 class NotIdentified(Exception):
-    """Rank-deficient design or no interior observations."""
+    """Rank-deficient design, no interior observations, or no maximum."""
 
 
 class NoConvergence(Exception):
@@ -337,10 +337,33 @@ def _row_scores(s: CensoredSample, beta: np.ndarray, sigma: float) -> np.ndarray
 
 
 def _safe_terms(s: CensoredSample, psi: np.ndarray):
-    """Log likelihood (-inf where not finite) and point terms at psi =
-    (beta, log sigma)."""
-    total, terms = _point_terms(s, psi[:-1], float(np.exp(psi[-1])))
+    """Log likelihood (-inf where not finite or sigma^2 underflows) and
+    point terms at psi = (beta, log sigma)."""
+    sigma = float(np.exp(psi[-1]))
+    if sigma * sigma == 0.0:
+        return -np.inf, None
+    total, terms = _point_terms(s, psi[:-1], sigma)
     return (total if np.isfinite(total) else -np.inf), terms
+
+
+def _no_optimum(s: CensoredSample, beta: np.ndarray, detail: str) -> Exception:
+    """NotIdentified for a fit stopped at beta if sigma collapses there,
+    else NoConvergence. Sigma collapses when some beta fits the interior
+    rows exactly, to rounding, and every row on a limit lies on its side
+    of that limit: the likelihood then grows like -n_in log sigma as
+    sigma -> 0. Newton steps only creep towards that beta, so the test
+    moves beta onto the nearest exact fit first."""
+    sp = s._split
+    beta = beta + np.linalg.lstsq(sp.R, sp.qy - sp.R @ beta, rcond=None)[0]
+    r = sp.qy - sp.R @ beta
+    resolution = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(s.y[sp.interior]).max()))
+    exact = sp.floor + float(r @ r) <= sp.interior.size * resolution**2
+    if exact and (sp.sign * (sp.X_lim @ beta - sp.limit) >= 0.0).all():
+        return NotIdentified(
+            "sigma collapses to 0: a hyperplane fits the interior rows exactly and the rows "
+            "on a limit agree with it, so the likelihood has no maximum"
+        )
+    return NoConvergence(detail)
 
 
 def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
@@ -409,13 +432,13 @@ def fit(s: CensoredSample, opts: FitOptions = FitOptions()) -> TobitFit:
         if not accepted:
             if gnorm < 10.0 * opts.gradient_tol:
                 break
-            raise NoConvergence("line search stalled away from the optimum")
+            raise _no_optimum(s, psi[:k], "line search stalled away from the optimum")
         psi = cand
         rel_change = abs(ll_new - ll) / (1.0 + abs(ll))
         ll = ll_new
         path.append(ll)
     else:
-        raise NoConvergence(f"no optimum after {opts.max_iterations} iterations")
+        raise _no_optimum(s, psi[:k], f"no optimum after {opts.max_iterations} iterations")
 
     beta = psi[:k]
     sigma = float(np.exp(psi[k]))

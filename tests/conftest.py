@@ -37,3 +37,14 @@ def index_of(ds: Dataset, dmu_id: str) -> int:
         if rec.id == dmu_id:
             return i
     raise KeyError(dmu_id)
+
+
+def collapsing_rows(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """68 (x, y) rows whose Tobit likelihood on [0, 1] has no maximum: one
+    interior row (0.5, 0.5), which any line through it fits exactly, and
+    rows at 0 with x in (-1, -0.1) and at 1 with x in (1.1, 2), which the
+    line y = x agrees with."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.5], rng.uniform(-1, -0.1, 33), rng.uniform(1.1, 2, 34)])
+    y = np.concatenate([[0.5], np.zeros(33), np.ones(34)])
+    return x, y

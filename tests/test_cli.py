@@ -21,6 +21,7 @@ from effx.cli import run
 from effx.dataset import FIXTURE_INPUTS, FIXTURE_OUTPUTS, bundled_fixture, serialize_dataset
 from effx.dea import DeaOptions, run_frontier
 from effx.report import ReportTable, frontier_table, render_table, round_half_away
+from conftest import collapsing_rows
 from oracles import read_covariates_by_cell, read_scores_by_cell
 
 
@@ -163,10 +164,11 @@ class TestDeaCommand:
     def test_phase_one_breakdown_exits_4(self, tmp_path):
         """Data spanning eight decades ends phase 1 of one LP without an
         optimum in floating point; that is a solver failure, not a crash.
-        The first to fail is u21's CRS program, left to solve_lp by the
-        lockstep; u2, which failed first while every lockstep program
-        started cold, is now scored (tests/test_dea.py)."""
-        rng = np.random.default_rng(1)
+        The first to fail is u26's program, left to solve_lp by the
+        lockstep. Seed 1 of this generator, which failed at u21 while the
+        lockstep dropped stalled programs, now completes with exact scores
+        (tests/test_dea.py)."""
+        rng = np.random.default_rng(12)
         X = 10 ** rng.uniform(0, 8, (60, 4))
         Y = 10 ** rng.uniform(0, 8, (60, 4))
         lines = [",".join(["id", "name", *FIXTURE_INPUTS, *FIXTURE_OUTPUTS, "GROUP"])]
@@ -177,7 +179,7 @@ class TestDeaCommand:
         code, out, err = invoke(["dea", "--input", str(data)])
         assert code == 4
         assert out == ""
-        assert err == "effx: SolverFailure: unit 'u21': phase 1 terminated without an optimum\n"
+        assert err == "effx: SolverFailure: unit 'u26': phase 1 terminated without an optimum\n"
 
     def test_rendered_scores_match_reference_at_two_decimals(self):
         from test_acceptance import GOLDEN_SCORES
@@ -375,6 +377,17 @@ class TestTobitCommand:
         assert results[1] == results[0] and results[2] == results[0]
         missing = rows[-1].split(",")[0]
         assert results[3] == (3, "", f"effx: InvalidDataset: covariates file has no row for id {missing!r}\n")
+
+    def test_collapsing_sigma_exits_4(self, tmp_path):
+        # A fit whose sigma underflowed once let ZeroDivisionError out
+        x, y = collapsing_rows(5)
+        ids = [f"u{i}" for i in range(x.size)]
+        scores, covs = tmp_path / "scores.csv", tmp_path / "covs.csv"
+        scores.write_text("id,ote\n" + "".join(f"{i},{float(v)!r}\n" for i, v in zip(ids, y)), "utf-8")
+        covs.write_text("id,x\n" + "".join(f"{i},{float(v)!r}\n" for i, v in zip(ids, x)), "utf-8")
+        code, out, err = invoke(["tobit", "--input", str(scores), "--covariates", str(covs)])
+        assert (code, out) == (4, "")
+        assert re.fullmatch(r"effx: NotIdentified: sigma collapses to 0: [^\n]*\n", err)
 
     def test_invalid_sustainability_exits_3(self, tmp_path):
         scores = tmp_path / "scores.csv"

@@ -22,7 +22,13 @@ from effx.dea import _evaluate_dmu, _rts_class
 from effx.lp import EQ, GE, LpOptions, LpStatus, solve_lp
 from effx.report import frontier_table, render_table
 from conftest import index_of, random_dataset
-from oracles import check_solution, envelopment_theta_highs, lambda_sum_range_highs, vertex_minimum
+from oracles import (
+    check_solution,
+    envelopment_theta_highs,
+    exact_minimum,
+    lambda_sum_range_highs,
+    vertex_minimum,
+)
 
 CRS = DeaOptions(returns_to_scale=Rts.CRS)
 VRS = DeaOptions(returns_to_scale=Rts.VRS)
@@ -98,19 +104,6 @@ class TestBuildLp:
             assert p.A[i, 0] == X[j, i]
             assert p.A[i, 1 + j] == -X[j, i]
             assert p.b[i] == 0.0
-
-    def test_column_subset(self, airports):
-        j = index_of(airports, "AHO")
-        full = build_envelopment_lp(airports, j, VRS)
-        same = build_envelopment_lp(airports, j, VRS, np.arange(airports.n))
-        np.testing.assert_array_equal(same.A, full.A)
-        np.testing.assert_array_equal(same.b, full.b)
-        cols = np.array([2, j, 17])
-        sub = build_envelopment_lp(airports, j, VRS, cols)
-        assert sub.n_vars == 1 + 3
-        np.testing.assert_array_equal(sub.A[:, 0], full.A[:, 0])
-        np.testing.assert_array_equal(sub.A[:, 1:], full.A[:, 1 + cols])
-        np.testing.assert_array_equal(sub.b, full.b)
 
     def test_single_unit_self_reference(self):
         ds = one_unit_dataset()
@@ -361,8 +354,9 @@ class TestWorkingSet:
         with pytest.raises(SolverFailure, match="optimum fails its certificate") as err:
             run_frontier(airports, DeaOptions())
         assert err.value.dmu_id == airports.dmus[0].id
-        # one working-set solve of the first unit's CRS program
+        # one full-column solve of the first unit's CRS program
         assert len(lp_calls) == 1 and lp_calls[0].c[0] == 1.0 and EQ not in lp_calls[0].relations
+        assert lp_calls[0].n_vars == 1 + airports.n
 
     def test_fixture_full_column_pivots(self, airports):
         # the pivot sequence of a full-column solve is pinned: 714 pivots
@@ -376,8 +370,8 @@ class TestWorkingSet:
 
 
 class TestLockstep:
-    """run_frontier scores blocks of units in lockstep and leaves to the
-    serial working-set solve only the programs _lockstep cannot finish."""
+    """run_frontier scores blocks of units in lockstep and leaves to a
+    full-column solve_lp only the programs _lockstep cannot finish."""
 
     def test_peers_join_the_frame(self, lockstep_calls):
         # the first blocks run again for the units their small frame
@@ -405,10 +399,13 @@ class TestLockstep:
 
         monkeypatch.setattr(effx.dea, "_lockstep", stalling)
         got = run_frontier(ds, DeaOptions())
-        # one serial working-set solve (one or more LPs) per program left
+        # exactly one solve_lp call over all n + 1 columns per program left
         envelopment = [p for p in lp_calls if p.c[0] == 1.0 and not p.c[1:].any()]
         solved = {(tuple(p.A[: ds.m, 0]), EQ in p.relations) for p in envelopment}
-        assert len(solved) == sum(left) >= sum(forced) > 2 * n // 7 - 10
+        assert len(envelopment) == len(solved) == sum(left) >= sum(forced) > 2 * n // 7 - 10
+        assert all(p.n_vars == n + 1 for p in envelopment)
+        # the bytes catch a settled unit whose peers stay out of the frame:
+        # the later units would go unpriced against them
         assert render_table(frontier_table(got), "csv") == render_table(frontier_table(want), "csv")
         for r, w in zip(got.results, want.results):
             assert abs(r.ote - w.ote) <= 1e-9 and abs(r.pte - w.pte) <= 1e-9, r.dmu_id
@@ -439,10 +436,27 @@ class TestLockstep:
         with pytest.raises(SolverFailure, match="optimum fails its certificate") as err:
             run_frontier(airports, DeaOptions())
         assert err.value.dmu_id == "PMF"
-        # one serial working-set solve (one or more LPs), of PMF's CRS program
-        assert lp_calls
-        for p in lp_calls:
-            assert (p.A[:m, 0] == X[j]).all() and EQ not in p.relations
+        # one full-column solve, of PMF's CRS program
+        assert len(lp_calls) == 1
+        p = lp_calls[0]
+        assert (p.A[:m, 0] == X[j]).all() and EQ not in p.relations and p.n_vars == 1 + airports.n
+
+    def test_bland_rule_finishes_a_cycling_program(self):
+        # Dantzig pricing cycles on draw 7 unit 997's VRS program until the
+        # pivot cap (TestSolverRegressions). Alone, cold and over all 1500
+        # columns, the lockstep turns to Bland's rule when it stalls and
+        # finishes it at theta = 1.
+        ds = random_dataset(np.random.default_rng(7), 1500, 4, 4)
+        frame = effx.dea._Frame(ds, VRS)
+        rows, k = frame.slacks.shape
+        N = np.hstack([np.zeros((rows, 1)), frame.lp_cols.T, frame.slacks])
+        slack = np.where(np.arange(rows) < k, 1 + ds.n + np.arange(rows), -1)
+        own = frame.lp_cols[[997]]
+        theta = np.where(frame.is_input, -own, 0.0)
+        rhs = np.where(frame.is_input, 0.0, own)
+        ok, basis, x, _ = effx.dea._lockstep(N, theta, rhs, slack)
+        assert ok[0]
+        assert x[0, basis[0] == 0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSolverRegressions:
@@ -471,25 +485,38 @@ class TestSolverRegressions:
             assert got.theta == pytest.approx(dual, rel=1e-10), rts
 
     def test_eight_decade_set_seed_0_unit_u41(self):
-        # Seed 0 of the same generator. The lockstep leaves u41's VRS
-        # program to the serial working-set solve, which stopped at
-        # theta = 0 (exact 1) before solve_lp certified its optima. No
-        # run may report that score: it is right or the unit fails.
+        # Seed 0 of the same generator. The lockstep used to leave u41's
+        # VRS program to a serial working-set solve, which stopped at
+        # theta = 0 (exact 1) before solve_lp certified its optima, and
+        # then failed its certificate. The run now completes with the
+        # exact score.
         ds = eight_decade_dataset(0)
-        frame = effx.dea._Frame(ds, VRS)
-        assert frame.solve_block(range(ds.n))[41] is None
-        try:
-            theta = frame.solve(41).theta
-        except SolverFailure:
-            pass
-        else:
-            assert theta == pytest.approx(1.0, rel=1e-9)
+        assert exact_minimum(build_envelopment_lp(ds, 41, VRS)) == 1
         assert efficiency(ds, 41, VRS) == pytest.approx(1.0, rel=1e-9)
-        try:
-            rep = run_frontier(ds, DeaOptions())
-        except SolverFailure:
-            return
-        assert rep.results[41].pte == 1.0
+        assert run_frontier(ds, DeaOptions()).results[41].pte == 1.0
+
+    def test_eight_decade_set_seed_1_scores_are_exact(self, monkeypatch):
+        # Seed 1 of the same generator, whose u21 CRS program ended phase 1
+        # without an optimum in a serial working-set solve (the exit-4 case
+        # of tests/test_cli.py before it moved to another seed). The run
+        # completes; u21's CRS score and every score that a full-column
+        # settle gave match the exact rational minimum.
+        ds = eight_decade_dataset(1)
+        settle = effx.dea._Frame.settle
+        settled = []
+
+        def recording(frame, j):
+            got = settle(frame, j)
+            settled.append((j, frame.opts, got.theta))
+            return got
+
+        monkeypatch.setattr(effx.dea._Frame, "settle", recording)
+        rep = run_frontier(ds, DeaOptions())
+        u21 = index_of(ds, "u21")
+        checks = [(u21, CRS, rep.results[u21].ote)] + settled
+        for j, opts, theta in checks:
+            exact = float(exact_minimum(build_envelopment_lp(ds, j, opts)))
+            assert theta == pytest.approx(exact, rel=1e-9), (j, opts)
 
 
 def eight_decade_dataset(seed):

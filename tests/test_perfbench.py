@@ -38,3 +38,11 @@ def test_untraced_regression_run_is_correct(tmp_path):
     last = run_bench(tmp_path, "--workload", "regression", "--seed", "1", "--seconds", "1", "--trace", "0")
     assert last["correct"] is True
     assert last["failed"] == 0
+
+
+def test_untraced_frontier_run_is_correct(tmp_path):
+    # Checks the scores and classes of a sample of units of the n = 1500
+    # frontier set against the HiGHS solves of perfbench/oracles.dea_oracle.
+    last = run_bench(tmp_path, "--workload", "frontier", "--seed", "1", "--seconds", "0.5", "--trace", "0")
+    assert last["correct"] is True
+    assert last["failed"] == 0

@@ -26,6 +26,7 @@ from effx.tobit import (
     score_and_hessian,
     wald_test,
 )
+from conftest import collapsing_rows
 from oracles import (
     fd_gradient,
     log_normal_cdf_mp,
@@ -256,6 +257,16 @@ class TestFit:
     def test_all_upper_not_identified(self):
         s = CensoredSample(y=np.ones(5), X=np.ones((5, 1)))
         with pytest.raises(NotIdentified):
+            fit(s)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_collapsing_sigma_not_identified(self, seed):
+        # Newton steps drive sigma towards 0 without end. From seed 0 they
+        # creep until the iteration cap; from seed 5 a step underflows
+        # sigma, which once raised ZeroDivisionError.
+        x, y = collapsing_rows(seed)
+        s = CensoredSample(y=y, X=np.column_stack([np.ones(x.size), x]))
+        with pytest.raises(NotIdentified, match="sigma collapses"):
             fit(s)
 
     def test_rank_deficient_not_identified(self):
